@@ -61,7 +61,7 @@ def main():
     )
     data, z_true = simulate(scenario)
     write_dataset(out / "fleet.csv", data)
-    print(f"simulated {len(data.records)} failures across {args.m} systems")
+    print(f"simulated {len(data)} failures across {args.m} systems")
     print(f"realized frailty sample variance: {np.var(z_true, ddof=1):.4f} (target {args.eta})")
 
     post = posterior(data)

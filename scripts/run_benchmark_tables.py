@@ -18,12 +18,7 @@ import csv
 import pathlib
 import time
 
-from frailplp import ObservationDesign, PlpParams, PriorConfig, SimScenario, run_harness
-
-SCENARIOS = {
-    "A": PlpParams(beta=[1.2, 0.7], alpha=[5.0, 13.33]),
-    "B": PlpParams(beta=[0.75, 1.25], alpha=[9.46, 12.69]),
-}
+from frailplp import SCENARIOS, ObservationDesign, PriorConfig, SimScenario, run_harness
 
 
 def main():

@@ -4,7 +4,6 @@ nonparametric shared-frailty posterior sampler."""
 
 from .data import (
     ObservationDesign,
-    FailureRecord,
     FailureDataset,
     CountSummary,
     DatasetError,
@@ -24,7 +23,7 @@ from .plp import (
     bayes_estimates,
     duane_points,
 )
-from .simulate import SimScenario, FrailtyMixture, draw_frailties, simulate
+from .simulate import SCENARIOS, SimScenario, FrailtyMixture, draw_frailties, simulate
 from .dpm import DpmHyperparams, McmcTrace, run_chain, density_estimate, frailty_variance
 from .hmc import HmcConfig, transform, inverse_transform
 from .diagnostics import geweke, autocorrelation, ess, run_harness

@@ -26,7 +26,7 @@ from .plp import (
     classic_mle,
     duane_points,
 )
-from .simulate import SimScenario, FrailtyMixture, simulate, write_frailties
+from .simulate import SCENARIOS, SimScenario, FrailtyMixture, simulate, write_frailties
 from .dpm import DpmHyperparams, run_chain, density_estimate, frailty_variance, mixture_variance
 from .hmc import HmcConfig
 from .diagnostics import geweke, autocorrelation, ess, run_harness
@@ -35,12 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-SCENARIOS = {
-    "A": dict(beta=[1.2, 0.7], alpha=[5.0, 13.33]),
-    "B": dict(beta=[0.75, 1.25], alpha=[9.46, 12.69]),
-}
-
 
 class ConfigError(Exception):
     pass
@@ -70,24 +64,26 @@ def _load_config_file(path):
     return values
 
 
-def _apply_config_file(args, argv):
-    """Fill in config-file values for every flag not given in argv."""
-    if not getattr(args, "config", None):
+def _parse_args(argv):
+    """Parse argv; values from a --config file become the command's defaults.
+
+    argparse then resolves every flag given on the command line, abbreviated
+    or not, over the file, and converts the file's strings with each flag's type.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
         return args
-    values = _load_config_file(args.config)
-    given = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
-    for key, value in values.items():
-        if key in given or not hasattr(args, key):
+    command = parser.commands[args.command]
+    defaults = {}
+    for key, value in _load_config_file(args.config).items():
+        if not hasattr(args, key):
             continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
+        if isinstance(command.get_default(key), bool):
             value = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(args, key, value)
-    return args
+        defaults[key] = value
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _write_estimates(path, rows, fmt=None):
@@ -109,12 +105,15 @@ def _write_estimates(path, rows, fmt=None):
 
 
 def _write_matrix(path, header, array):
-    array = np.atleast_2d(np.asarray(array))
+    """One CSV row per leading index; a 1-D array is a single column."""
+    array = np.asarray(array)
+    if array.ndim == 1:
+        array = array[:, None]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, row in enumerate(array):
-            writer.writerow([i] + [f"{float(v)!r}" for v in np.atleast_1d(row)])
+            writer.writerow([i] + [f"{float(v)!r}" for v in row])
 
 
 def cmd_simulate(args):
@@ -283,13 +282,12 @@ def cmd_benchmark(args):
                 f"unknown scenario {args.scenario!r}; choices: {sorted(SCENARIOS)}"
             )
         params = SCENARIOS[args.scenario]
-        beta, alpha = params["beta"], params["alpha"]
     else:
-        beta, alpha = _parse_floats(args.beta), _parse_floats(args.alpha)
-    design = ObservationDesign(T=args.T, m=args.m, K=len(beta))
+        params = PlpParams(beta=_parse_floats(args.beta), alpha=_parse_floats(args.alpha))
+    design = ObservationDesign(T=args.T, m=args.m, K=params.K)
     scenario = SimScenario(
         design=design,
-        true_params=PlpParams(beta=np.array(beta), alpha=np.array(alpha)),
+        true_params=params,
         eta=args.eta,
         seed=args.seed,
     )
@@ -326,6 +324,7 @@ def build_parser():
         description="Reliability inference for repairable systems under dependent competing risks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("simulate", help="generate a synthetic fleet")
     _add_common(p)
@@ -410,9 +409,8 @@ def build_parser():
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
     try:
-        args = _apply_config_file(args, argv)
+        args = _parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 A dataset is a collection of failure times with cause labels, observed on a
 common time-truncated window (0, T] over m identical systems subject to K
-recurrent causes of failure.  Systems that never failed carry no records and
-enter only through m.
+recurrent causes of failure.  The events are stored as three columns
+(system_id, cause, time).  Systems that never failed have no rows and enter
+only through m.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "ObservationDesign",
-    "FailureRecord",
     "FailureDataset",
     "CountSummary",
     "DatasetError",
@@ -57,52 +57,59 @@ class ObservationDesign:
             raise DatasetError(f"need at least one failure cause, got K={self.K}")
 
 
-@dataclass(frozen=True)
-class FailureRecord:
-    """One failure event: which system, when, and which cause."""
-
-    system_id: int
-    time: float
-    cause: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FailureDataset:
-    """Validated failure records under a fixed observation design.
+    """Validated failure events under a fixed observation design.
 
-    Records are stored sorted by (system_id, time).  Within each system the
-    times are strictly increasing; ties and boundary times are rejected.
-    Immutable after construction.
+    Three read-only columns hold one entry per failure: ``system_id`` and
+    ``cause`` (ints) and ``time`` (floats), sorted by (system_id, time).
+    Within each system the times are strictly increasing; ties and boundary
+    times are rejected.
     """
 
     design: ObservationDesign
-    records: tuple[FailureRecord, ...]
+    system_id: np.ndarray
+    cause: np.ndarray
+    time: np.ndarray
 
-    def __init__(self, design, records):
-        recs = sorted(records, key=lambda r: (r.system_id, r.time))
-        for r in recs:
-            if not (1 <= r.system_id <= design.m):
-                raise DatasetError(f"system_id {r.system_id} outside 1..{design.m}")
-            if not (1 <= r.cause <= design.K):
-                raise DatasetError(f"cause {r.cause} outside 1..{design.K}")
-            if not (0.0 < r.time < design.T):
-                raise DatasetError(
-                    f"failure time {r.time} outside (0, {design.T}) for system {r.system_id}"
-                )
-        for a, b in zip(recs, recs[1:]):
-            if a.system_id == b.system_id and a.time == b.time:
-                raise DatasetError(
-                    f"tied failure times {a.time} in system {a.system_id}"
-                )
+    def __init__(self, design, system_id, cause, time):
+        system_id = np.asarray(system_id, dtype=np.int64)
+        cause = np.asarray(cause, dtype=np.int64)
+        time = np.asarray(time, dtype=float)
+        if not (time.ndim == 1 and system_id.shape == cause.shape == time.shape):
+            raise DatasetError("system_id, cause and time must be 1-D columns of one length")
+        order = np.lexsort((time, system_id))
+        system_id, cause, time = system_id[order], cause[order], time[order]
+        bad_system = (system_id < 1) | (system_id > design.m)
+        bad_cause = (cause < 1) | (cause > design.K)
+        bad_time = ~((time > 0.0) & (time < design.T))
+        bad = bad_system | bad_cause | bad_time
+        if bad.any():
+            i = int(np.argmax(bad))
+            j, t = system_id[i].item(), time[i].item()
+            if bad_system[i]:
+                raise DatasetError(f"system_id {j} outside 1..{design.m}")
+            if bad_cause[i]:
+                raise DatasetError(f"cause {cause[i].item()} outside 1..{design.K}")
+            raise DatasetError(f"failure time {t} outside (0, {design.T}) for system {j}")
+        tied = (system_id[1:] == system_id[:-1]) & (time[1:] == time[:-1])
+        if tied.any():
+            i = int(np.argmax(tied))
+            raise DatasetError(
+                f"tied failure times {time[i].item()} in system {system_id[i].item()}"
+            )
+        for name, column in (("system_id", system_id), ("cause", cause), ("time", time)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "design", design)
-        object.__setattr__(self, "records", tuple(recs))
 
     def __len__(self):
-        return len(self.records)
+        return self.time.size
 
     def system_times(self, system_id):
-        """Ordered failure times of one system."""
-        return [r.time for r in self.records if r.system_id == system_id]
+        """Ordered failure times of one system (a read-only view)."""
+        lo, hi = np.searchsorted(self.system_id, [system_id, system_id + 1])
+        return self.time[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -127,11 +134,9 @@ class CountSummary:
 def summarize(data: FailureDataset) -> CountSummary:
     """Tabulate per-system/per-cause counts and the per-cause log-ratio sums."""
     d = data.design
-    n_jq = np.zeros((d.m, d.K), dtype=int)
-    log_ratio = np.zeros(d.K)
-    for r in data.records:
-        n_jq[r.system_id - 1, r.cause - 1] += 1
-        log_ratio[r.cause - 1] += math.log(d.T / r.time)
+    cell = (data.system_id - 1) * d.K + (data.cause - 1)
+    n_jq = np.bincount(cell, minlength=d.m * d.K).reshape(d.m, d.K)
+    log_ratio = np.bincount(data.cause - 1, weights=np.log(d.T / data.time), minlength=d.K)
     return CountSummary(
         n_jq=n_jq,
         n_j=n_jq.sum(axis=1),
@@ -170,7 +175,7 @@ def ingest(path, design: ObservationDesign | None = None) -> FailureDataset:
     ``system_id,cause,time``; each following row is one failure.
     """
     comment_lines = []
-    rows = []
+    system_id, cause, time = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header_idx = None
@@ -203,12 +208,13 @@ def ingest(path, design: ObservationDesign | None = None) -> FailureDataset:
         if len(parts) != 3:
             raise ParseError(f"expected 3 columns, got {len(parts)}", line=lineno + 1)
         try:
-            rows.append(
-                FailureRecord(system_id=int(parts[0]), time=float(parts[2]), cause=int(parts[1]))
-            )
+            j, t, q = int(parts[0]), float(parts[2]), int(parts[1])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno + 1) from None
-    return FailureDataset(design, rows)
+        system_id.append(j)
+        cause.append(q)
+        time.append(t)
+    return FailureDataset(design, system_id, cause, time)
 
 
 def write_dataset(path, data: FailureDataset) -> None:
@@ -217,5 +223,5 @@ def write_dataset(path, data: FailureDataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# T={d.T!r}\n# m={d.m}\n# K={d.K}\n")
         fh.write("system_id,cause,time\n")
-        for r in data.records:
-            fh.write(f"{r.system_id},{r.cause},{r.time!r}\n")
+        rows = zip(data.system_id.tolist(), data.cause.tolist(), data.time.tolist())
+        fh.writelines(f"{j},{q},{t!r}\n" for j, q, t in rows)

@@ -64,7 +64,6 @@ class DpmState:
     """
 
     c: float
-    xi: float
     nu: np.ndarray
     mu: np.ndarray
     tau: np.ndarray
@@ -132,7 +131,6 @@ def update_concentration(state: DpmState, m: int, hyper: DpmHyperparams, rng):
     p_hi = odds / (1.0 + odds)
     shape = shape_hi if rng.uniform() < p_hi else shape_hi - 1.0
     c = rng.gamma(shape=shape, scale=1.0 / rate)
-    state.xi = xi
     state.c = c
     return xi, c
 
@@ -290,7 +288,6 @@ def _init_state(m, hyper, rng, init_levels=3):
     atoms = [_draw_atom(hyper, rng) for _ in range(init_levels)]
     state = DpmState(
         c=1.0,
-        xi=0.5,
         nu=nu,
         mu=np.array([a[0] for a in atoms]),
         tau=np.array([a[1] for a in atoms]),
@@ -430,19 +427,24 @@ class VarianceSummary:
     ci_low: float
     ci_high: float
 
+    @classmethod
+    def from_draws(cls, draws):
+        """Mean, sd and equal-tail 95% interval of a set of draws."""
+        draws = np.asarray(draws, dtype=float)
+        if draws.size == 0:
+            raise ValueError("empty trace")
+        lo, hi = np.quantile(draws, [0.025, 0.975])
+        return cls(
+            mean=float(draws.mean()),
+            sd=float(draws.std(ddof=1)) if draws.size > 1 else 0.0,
+            ci_low=float(lo),
+            ci_high=float(hi),
+        )
+
 
 def frailty_variance(var_z_draws) -> VarianceSummary:
     """Posterior summary of the empirical frailty variance (1/(m-1)) sum (z-1)^2."""
-    draws = np.asarray(var_z_draws, dtype=float)
-    if draws.size == 0:
-        raise ValueError("empty trace")
-    lo, hi = np.quantile(draws, [0.025, 0.975])
-    return VarianceSummary(
-        mean=float(draws.mean()),
-        sd=float(draws.std(ddof=1)) if draws.size > 1 else 0.0,
-        ci_low=float(lo),
-        ci_high=float(hi),
-    )
+    return VarianceSummary.from_draws(var_z_draws)
 
 
 def mixture_variance(trace: McmcTrace) -> VarianceSummary:
@@ -457,11 +459,4 @@ def mixture_variance(trace: McmcTrace) -> VarianceSummary:
         first = float(np.sum(rho * np.exp(mu + 0.5 / tau))) / norm
         second = float(np.sum(rho * np.exp(2.0 * mu + 2.0 / tau))) / norm
         vals.append(second - first**2)
-    draws = np.asarray(vals)
-    lo, hi = np.quantile(draws, [0.025, 0.975])
-    return VarianceSummary(
-        mean=float(draws.mean()),
-        sd=float(draws.std(ddof=1)) if draws.size > 1 else 0.0,
-        ci_low=float(lo),
-        ci_high=float(hi),
-    )
+    return VarianceSummary.from_draws(vals)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FailureDataset, FailureRecord, ObservationDesign
+from .data import FailureDataset, ObservationDesign
 from .plp import PlpParams
 
 __all__ = [
+    "SCENARIOS",
     "FrailtyMixture",
     "SimScenario",
     "draw_frailties",
@@ -24,6 +25,12 @@ __all__ = [
     "write_frailties",
     "read_frailties",
 ]
+
+# Named per-cause parameter scenarios for the Monte Carlo scorecards.
+SCENARIOS = {
+    "A": PlpParams(beta=[1.2, 0.7], alpha=[5.0, 13.33]),
+    "B": PlpParams(beta=[0.75, 1.25], alpha=[9.46, 12.69]),
+}
 
 
 @dataclass(frozen=True)
@@ -109,38 +116,31 @@ def draw_frailties(scenario: SimScenario) -> np.ndarray:
 
 
 def _simulate_system(rng, z_j, params: PlpParams, T):
-    """Counts then conditional-uniform times, per cause; merged and sorted."""
+    """Per cause in turn: a Poisson count, then that many conditional-uniform times.
+
+    Returns the per-cause counts and the times grouped by cause, unsorted.
+    """
+    counts = np.empty(params.K, dtype=int)
     times = []
-    causes = []
     for q in range(params.K):
-        n = rng.poisson(z_j * params.alpha[q])
-        if n == 0:
-            continue
-        u = rng.uniform(size=n)
-        t = T * u ** (1.0 / params.beta[q])
-        times.append(t)
-        causes.append(np.full(n, q + 1, dtype=int))
-    if not times:
-        return np.empty(0), np.empty(0, dtype=int)
-    times = np.concatenate(times)
-    causes = np.concatenate(causes)
-    order = np.argsort(times)
-    return times[order], causes[order]
+        counts[q] = rng.poisson(z_j * params.alpha[q])
+        times.append(T * rng.uniform(size=counts[q]) ** (1.0 / params.beta[q]))
+    return counts, np.concatenate(times)
 
 
 def simulate(scenario: SimScenario):
     """Generate a fleet; returns (FailureDataset, true frailty vector)."""
     d = scenario.design
     z = draw_frailties(scenario)
-    records = []
-    for j in range(1, d.m + 1):
-        rng = _stream(scenario.seed, j)
-        times, causes = _simulate_system(rng, z[j - 1], scenario.true_params, d.T)
-        records.extend(
-            FailureRecord(system_id=j, time=float(t), cause=int(q))
-            for t, q in zip(times, causes)
-        )
-    return FailureDataset(d, records), z
+    counts = np.empty((d.m, d.K), dtype=int)
+    times = []
+    for j in range(d.m):
+        rng = _stream(scenario.seed, j + 1)
+        counts[j], t = _simulate_system(rng, z[j], scenario.true_params, d.T)
+        times.append(t)
+    system_id = np.repeat(np.arange(1, d.m + 1), counts.sum(axis=1))
+    cause = np.repeat(np.tile(np.arange(1, d.K + 1), d.m), counts.ravel())
+    return FailureDataset(d, system_id, cause, np.concatenate(times)), z
 
 
 def write_frailties(path, z) -> None:

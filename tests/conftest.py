@@ -5,7 +5,6 @@ import pytest
 
 from frailplp.data import (
     ObservationDesign,
-    FailureRecord,
     FailureDataset,
     CountSummary,
 )
@@ -57,5 +56,16 @@ def warranty_summary():
 def make_dataset(T=20.0, m=2, K=1, events=()):
     """Small literal dataset: events are (system_id, cause, time) triples."""
     design = ObservationDesign(T=T, m=m, K=K)
-    records = [FailureRecord(system_id=j, time=t, cause=q) for j, q, t in events]
-    return FailureDataset(design, records)
+    system_id, cause, time = zip(*events) if events else ((), (), ())
+    return FailureDataset(design, system_id, cause, time)
+
+
+COLUMNS = ("system_id", "cause", "time")
+
+
+def same_events(a, b):
+    """True when two datasets hold exactly equal columns, dtypes included."""
+    return all(
+        getattr(a, c).dtype == getattr(b, c).dtype and np.array_equal(getattr(a, c), getattr(b, c))
+        for c in COLUMNS
+    )

@@ -282,8 +282,7 @@ class TestCriterion6SamplerOracles:
         rng = np.random.default_rng(3)
         state = DpmState(
             c=1.0,
-            xi=0.5,
-            nu=np.full(k, 0.3),
+                nu=np.full(k, 0.3),
             mu=np.zeros(k),
             tau=np.ones(k),
             u=np.full(m, 1e-3),

@@ -195,6 +195,14 @@ class TestMcmc:
         assert 0.3 < summary["acceptance_rate"] <= 1.0
         assert summary["z_hat_mean"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_diagnose_reads_own_variance_trace(self, mcmc_out, tmp_path):
+        # one row per iteration, so the chain's own trace is long enough
+        trace = mcmc_out / "var_z_trace.csv"
+        assert len(trace.read_text().splitlines()) == 600 + 1
+        out = tmp_path / "diag.json"
+        assert run("diagnose", "--trace", str(trace), "--out", str(out)) == EXIT_OK
+        assert json.loads(out.read_text())["ess"] > 0
+
     def test_bad_lengths_config_error(self, mcmc_out, tmp_path):
         data = mcmc_out.parent / "fleet.csv"
         code = run(
@@ -261,6 +269,25 @@ class TestConfigFile:
         assert code == EXIT_OK
         # --m on the command line wins over m=12 in the file
         assert ingest(out).design.m == 7
+
+    def test_abbreviated_flag_overrides_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta=0.9\nm=12\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("simulate", "--config", str(cfg), "--out", str(a), "--et", "0.3",
+                   "--seed", "4") == EXIT_OK
+        assert run("simulate", "--out", str(b), "--m", "12", "--eta", "0.3",
+                   "--seed", "4") == EXIT_OK
+        # --et is argparse's abbreviation of --eta and wins over eta=0.9
+        assert a.read_bytes() == b.read_bytes()
+        assert ingest(a).design.m == 12
+
+    def test_file_values_converted_for_flags_without_defaults(self, fleet_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("T=20\nm=40\nK=2\n")
+        code = run("fit", "--config", str(cfg), "--data", str(fleet_csv),
+                   "--out", str(tmp_path / "e.csv"))
+        assert code == EXIT_OK
 
     def test_missing_config_file(self, tmp_path):
         code = run(

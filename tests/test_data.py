@@ -1,5 +1,6 @@
 """Dataset model: validation, ingest/write round trip, count summaries."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from frailplp.data import (
     ObservationDesign,
-    FailureRecord,
     DatasetError,
     ParseError,
     ingest,
@@ -16,7 +16,7 @@ from frailplp.data import (
     write_dataset,
 )
 
-from conftest import make_dataset
+from conftest import COLUMNS, make_dataset, same_events
 
 
 class TestValidation:
@@ -52,7 +52,19 @@ class TestValidation:
     def test_records_sorted_regardless_of_input_order(self):
         shuffled = make_dataset(events=[(2, 1, 3.0), (1, 1, 9.0), (1, 1, 2.0)])
         ordered = make_dataset(events=[(1, 1, 2.0), (1, 1, 9.0), (2, 1, 3.0)])
-        assert shuffled.records == ordered.records
+        assert same_events(shuffled, ordered)
+        assert shuffled.system_id.tolist() == [1, 1, 2]
+        assert shuffled.time.tolist() == [2.0, 9.0, 3.0]
+
+    def test_columns_read_only_after_construction(self):
+        data = make_dataset(events=[(1, 1, 5.0), (2, 1, 3.0)])
+        for name in COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(data, name)[0] = 1
+        with pytest.raises(ValueError):
+            data.system_times(1)[0] = 4.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.time = np.array([1.0, 2.0])
 
     def test_failure_free_dataset_is_valid(self):
         data = make_dataset(m=5, events=[])
@@ -61,8 +73,8 @@ class TestValidation:
 
     def test_system_times(self):
         data = make_dataset(events=[(1, 1, 7.0), (2, 1, 1.0), (1, 1, 2.0)])
-        assert data.system_times(1) == [2.0, 7.0]
-        assert data.system_times(2) == [1.0]
+        assert np.array_equal(data.system_times(1), [2.0, 7.0])
+        assert np.array_equal(data.system_times(2), [1.0])
 
 
 class TestSummarize:
@@ -114,6 +126,22 @@ def datasets(draw):
     return make_dataset(T=T, m=m, K=K, events=events)
 
 
+class TestSummarizeMatchesEventLoop:
+    @settings(max_examples=50, deadline=None)
+    @given(data=datasets())
+    def test_counts_exact_and_log_ratios_to_rounding(self, data):
+        d = data.design
+        n_jq = np.zeros((d.m, d.K), dtype=int)
+        log_ratio = np.zeros(d.K)
+        for j, q, t in zip(data.system_id.tolist(), data.cause.tolist(), data.time.tolist()):
+            n_jq[j - 1, q - 1] += 1
+            log_ratio[q - 1] += math.log(d.T / t)
+        s = summarize(data)
+        assert np.array_equal(s.n_jq, n_jq)
+        # same summation order; np.log and math.log may differ in the last ulp
+        assert np.allclose(s.log_ratio_sums, log_ratio, rtol=1e-12, atol=0.0)
+
+
 class TestFileRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(data=datasets())
@@ -122,7 +150,7 @@ class TestFileRoundTrip:
         write_dataset(path, data)
         again = ingest(path)
         assert again.design == data.design
-        assert again.records == data.records
+        assert same_events(again, data)
 
     def test_explicit_design_overrides_metadata(self, tmp_path):
         data = make_dataset(T=20.0, m=2, events=[(1, 1, 5.0)])
@@ -165,4 +193,4 @@ class TestFileRoundTrip:
         )
         data = ingest(path)
         assert len(data) == 1
-        assert data.records[0] == FailureRecord(system_id=1, time=5.0, cause=1)
+        assert (data.system_id[0], data.cause[0], data.time[0]) == (1, 1, 5.0)

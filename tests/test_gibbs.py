@@ -35,7 +35,6 @@ def make_state(m=6, levels=4, y=None, c=1.0, seed=0, z=None):
     nu = rng.uniform(0.2, 0.6, size=levels)
     state = DpmState(
         c=c,
-        xi=0.5,
         nu=nu,
         mu=rng.normal(size=levels),
         tau=rng.uniform(0.5, 2.0, size=levels),

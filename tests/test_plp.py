@@ -83,10 +83,9 @@ class TestLogLikelihood:
         exponential of the numerically integrated total rate per system."""
         d = data.design
         total = 0.0
-        for r in data.records:
-            total += math.log(
-                intensity(params, r.cause, r.time, d.T, z=z[r.system_id - 1])
-            )
+        events = zip(data.system_id.tolist(), data.cause.tolist(), data.time.tolist())
+        for j, q, t in events:
+            total += math.log(intensity(params, q, t, d.T, z=z[j - 1]))
         for j in range(1, d.m + 1):
             for q in range(1, d.K + 1):
                 cum, _ = integrate.quad(
