@@ -236,7 +236,7 @@ def cmd_mcmc(args):
         var_z_mean=vz.mean,
         var_z_sd=vz.sd,
         var_z_ci=[vz.ci_low, vz.ci_high],
-        mixture_var_z_mean=mix_vz.mean,
+        mixture_var_z_ci=[mix_vz.ci_low, mix_vz.ci_high],
         geweke_var_z=gw.z_score,
         geweke_pass=gw.passed,
         acceptance_rate=trace.acceptance_rate,
@@ -421,10 +421,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ImproperPosteriorError as exc:
+    except (ImproperPosteriorError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FloatingPointError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

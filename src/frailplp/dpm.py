@@ -108,7 +108,7 @@ def _draw_atom(hyper: DpmHyperparams, rng, m_l=None, s_l=None, dp_l=None, d_l=No
     if m_l is None:
         m_l, s_l, dp_l, d_l = hyper.m0, hyper.s0, hyper.d0 * hyper.p0, hyper.d0
     tau = rng.gamma(shape=d_l, scale=1.0 / dp_l)
-    mu = rng.normal(loc=m_l, scale=1.0 / math.sqrt(s_l * tau))
+    mu = rng.normal(loc=m_l, scale=1.0 / np.sqrt(s_l * tau))
     return mu, tau
 
 
@@ -136,22 +136,15 @@ def update_concentration(state: DpmState, m: int, hyper: DpmHyperparams, rng):
 
 
 def update_sticks(state: DpmState, rng):
-    """Refresh stick fractions for allocated levels.
+    """Refresh every stick fraction in one draw.
 
-    nu_l | Y, c ~ Beta(1 + n_l, c + m - sum_{o<=l} n_o) for l up to the top
-    allocated level; unallocated levels are prior draws Beta(1, c).
+    nu_l | Y, c ~ Beta(1 + n_l, c + m - sum_{o<=l} n_o).  Above the top
+    allocated level n_l = 0 and the cumulative count is m, so the same
+    formula gives the prior Beta(1, c).
     """
     counts = state.level_counts()
-    m = state.y.size
-    cum = np.cumsum(counts)
-    nu = np.empty_like(state.nu)
-    for l in range(state.l_star):
-        if l < state.y_star:
-            nu[l] = rng.beta(1.0 + counts[l], state.c + m - cum[l])
-        else:
-            nu[l] = rng.beta(1.0, state.c)
-    state.nu = nu
-    return nu
+    state.nu = rng.beta(1.0 + counts, state.c + state.y.size - np.cumsum(counts))
+    return state.nu
 
 
 def update_slices(state: DpmState, rng):
@@ -199,56 +192,39 @@ def extend_levels(state: DpmState, hyper: DpmHyperparams, rng):
 
 
 def update_atoms(state: DpmState, hyper: DpmHyperparams, rng):
-    """Normal-gamma draws per level; occupied levels use the conjugate update
+    """Normal-gamma draws for all levels from the conjugate update
 
     m_l = (s0 m0 + n_l w_bar) / (s0 + n_l),  s_l = s0 + n_l,
     d_l = d0 + n_l,  d_l p_l = d0 p0 + sum (w - w_bar)^2
-                               + s0 n_l / (s0 + n_l) * (m0 - w_bar)^2,
-    empty levels are prior draws.
+                               + s0 n_l / (s0 + n_l) * (m0 - w_bar)^2;
+    with n_l = 0 these reduce to the prior, so empty levels are prior draws.
     """
     w = state.w
     counts = state.level_counts()
-    mu = np.empty(state.l_star)
-    tau = np.empty(state.l_star)
-    for l in range(state.l_star):
-        n_l = counts[l] if l < counts.size else 0
-        if n_l == 0:
-            mu[l], tau[l] = _draw_atom(hyper, rng)
-            continue
-        w_l = w[state.y == l]
-        w_bar = float(w_l.mean())
-        s_l = hyper.s0 + n_l
-        m_l = (hyper.s0 * hyper.m0 + n_l * w_bar) / s_l
-        d_l = hyper.d0 + n_l
-        dp_l = (
-            hyper.d0 * hyper.p0
-            + float(np.sum((w_l - w_bar) ** 2))
-            + hyper.s0 * n_l / s_l * (hyper.m0 - w_bar) ** 2
-        )
-        mu[l], tau[l] = _draw_atom(hyper, rng, m_l, s_l, dp_l, d_l)
-    state.mu = mu
-    state.tau = tau
-    return mu, tau
+    sums = np.bincount(state.y, weights=w, minlength=state.l_star)
+    w_bar = sums / np.maximum(counts, 1)
+    sq_dev = np.bincount(state.y, weights=(w - w_bar[state.y]) ** 2, minlength=state.l_star)
+    s_l = hyper.s0 + counts
+    m_l = (hyper.s0 * hyper.m0 + sums) / s_l
+    d_l = hyper.d0 + counts
+    dp_l = hyper.d0 * hyper.p0 + sq_dev + hyper.s0 * counts / s_l * (hyper.m0 - w_bar) ** 2
+    state.mu, state.tau = _draw_atom(hyper, rng, m_l, s_l, dp_l, d_l)
+    return state.mu, state.tau
 
 
 def update_allocations(state: DpmState, rng):
-    """Y_j ~ categorical over admissible levels, weighted by the normal density."""
+    """Y_j ~ categorical over admissible levels, weighted by the normal density.
+
+    All systems are drawn at once by Gumbel-max over the m x L log-weight
+    matrix, with levels outside the slice set rho_l > u_j masked out.
+    """
     w = state.w
-    rho = state.rho
-    y = np.empty_like(state.y)
-    for j in range(w.size):
-        admissible = np.flatnonzero(rho > state.u[j])
-        assert admissible.size > 0, "slice update must leave the current level admissible"
-        logw = (
-            0.5 * np.log(state.tau[admissible])
-            - 0.5 * state.tau[admissible] * (w[j] - state.mu[admissible]) ** 2
-        )
-        logw -= logw.max()
-        probs = np.exp(logw)
-        probs /= probs.sum()
-        y[j] = admissible[rng.choice(admissible.size, p=probs)]
-    state.y = y
-    return y
+    logw = 0.5 * np.log(state.tau) - 0.5 * state.tau * (w[:, None] - state.mu) ** 2
+    logw = np.where(state.rho > state.u[:, None], logw, -np.inf)
+    if not np.all(np.isfinite(logw.max(axis=1))):
+        raise FloatingPointError("a system has no admissible level with a finite weight")
+    state.y = np.argmax(logw + rng.gumbel(size=logw.shape), axis=1)
+    return state.y
 
 
 @dataclass
@@ -451,12 +427,19 @@ def mixture_variance(trace: McmcTrace) -> VarianceSummary:
     """Alternative Var(Z) summary from the mixture states themselves.
 
     Uses log-normal moments per atom; exposed alongside the empirical version
-    because the two need not agree.
+    because the two need not agree.  Only its quantiles are meaningful: the
+    second moment exp(2 mu + 2 / tau) has no finite posterior mean when tau
+    is gamma-distributed.  A state whose variance exceeds the float range
+    (a level with tiny tau) counts as inf, which leaves the interval exact
+    while fewer than 2.5% of the states do so.
     """
-    vals = []
-    for rho, mu, tau, _c in trace.mixtures:
-        norm = rho.sum()
-        first = float(np.sum(rho * np.exp(mu + 0.5 / tau))) / norm
-        second = float(np.sum(rho * np.exp(2.0 * mu + 2.0 / tau))) / norm
-        vals.append(second - first**2)
-    return VarianceSummary.from_draws(vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = []
+        for rho, mu, tau, _c in trace.mixtures:
+            norm = rho.sum()
+            first = np.sum(rho * np.exp(mu + 0.5 / tau)) / norm
+            second = np.sum(rho * np.exp(2.0 * mu + 2.0 / tau)) / norm
+            vals.append(second - first**2)
+        # both moments overflow together, and inf - inf is nan
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        return VarianceSummary.from_draws(vals)

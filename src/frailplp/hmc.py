@@ -121,12 +121,14 @@ def log_target_z(z_star, n_j, mu_y, tau_y):
     return logp, grad
 
 
-def leapfrog(z_star, p, eps, n_steps, grad_fn):
-    """Standard leapfrog integration of Hamiltonian dynamics (identity mass)."""
+def leapfrog(z_star, p, eps, n_steps, grad_fn, grad0):
+    """Standard leapfrog integration of Hamiltonian dynamics (identity mass).
+
+    grad0 is the gradient at z_star, which the caller already holds, so a
+    trajectory of n_steps evaluates grad_fn n_steps times.
+    """
     q = np.array(z_star, dtype=float)
-    p = np.array(p, dtype=float)
-    _, grad = grad_fn(q)
-    p = p + 0.5 * eps * grad
+    p = np.array(p, dtype=float) + 0.5 * eps * grad0
     for step in range(n_steps):
         q = q + eps * p
         logp, grad = grad_fn(q)
@@ -146,12 +148,12 @@ def hmc_update(z_star, logp_grad_fn, config: HmcConfig, rng, step_size=None):
     if config.step_jitter > 0:
         eps = eps * (1.0 + config.step_jitter * (2.0 * rng.uniform() - 1.0))
     q0 = np.asarray(z_star, dtype=float)
-    logp0, _ = logp_grad_fn(q0)
+    logp0, grad0 = logp_grad_fn(q0)
     p0 = rng.standard_normal(q0.size)
     h0 = -logp0 + 0.5 * float(p0 @ p0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        q1, p1, logp1, ok = leapfrog(q0, p0, eps, config.leapfrog_steps, logp_grad_fn)
+        q1, p1, logp1, ok = leapfrog(q0, p0, eps, config.leapfrog_steps, logp_grad_fn, grad0)
     if not ok or not np.isfinite(logp1):
         return q0, False, True, 0.0
     h1 = -logp1 + 0.5 * float(p1 @ p1)

@@ -194,6 +194,11 @@ class TestMcmc:
         assert 0.0 < summary["var_z_mean"] < 5.0
         assert 0.3 < summary["acceptance_rate"] <= 1.0
         assert summary["z_hat_mean"] == pytest.approx(1.0, abs=1e-10)
+        # the mixture-based Var(Z) has no finite posterior mean; only its interval is reported
+        assert "mixture_var_z_mean" not in summary
+        lo, hi = summary["mixture_var_z_ci"]
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert 0.0 < lo <= hi
 
     def test_diagnose_reads_own_variance_trace(self, mcmc_out, tmp_path):
         # one row per iteration, so the chain's own trace is long enough
@@ -210,6 +215,19 @@ class TestMcmc:
             "--iterations", "100", "--burn-in", "200",
         )
         assert code == EXIT_CONFIG
+
+    def test_numerical_failure_exit_code(self, mcmc_out, tmp_path, monkeypatch, capsys):
+        def broken_chain(*args, **kwargs):
+            raise FloatingPointError("non-finite state")
+
+        monkeypatch.setattr("frailplp.cli.run_chain", broken_chain)
+        data = mcmc_out.parent / "fleet.csv"
+        code = run(
+            "mcmc", "--data", str(data), "--out-dir", str(tmp_path / "x"),
+            "--iterations", "20", "--burn-in", "10",
+        )
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestDiagnose:

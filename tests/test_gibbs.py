@@ -1,11 +1,13 @@
 """Gibbs blocks of the nonparametric frailty sampler and the full chain."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betaln
+from scipy.stats import chisquare
 
 from frailplp.data import ObservationDesign
 from frailplp.plp import PlpParams
@@ -286,6 +288,30 @@ class TestAllocations:
         y = update_allocations(state, rng)
         assert np.all(y == 0)
 
+    def test_frequencies_match_exact_categorical(self):
+        # 20 000 identical systems (w = 0) share one categorical law over the
+        # admissible levels {0, 1, 3}: p_l ~ sqrt(tau_l) exp(-tau_l mu_l^2 / 2)
+        m = 20_000
+        state = make_state(m=m, levels=4)
+        state.nu = np.array([0.4, 0.5, 0.3, 0.6])  # rho = 0.4, 0.3, 0.09, 0.126
+        state.mu = np.array([0.0, 0.5, -0.8, 0.3])
+        state.tau = np.array([1.0, 2.0, 0.5, 1.5])
+        state.u = np.full(m, 0.1)
+        admissible = state.rho > 0.1
+        assert admissible.tolist() == [True, True, False, True]
+        y = update_allocations(state, np.random.default_rng(16))
+        hits = np.bincount(y, minlength=4)
+        assert hits[2] == 0
+        weights = np.sqrt(state.tau) * np.exp(-0.5 * state.tau * state.mu**2)
+        probs = weights[admissible] / weights[admissible].sum()
+        assert chisquare(hits[admissible], m * probs).pvalue > 1e-3
+
+    def test_system_without_admissible_level_raises(self):
+        state = make_state(m=3, levels=2)
+        state.u = np.array([1e-4, 1.0, 1e-4])  # no weight exceeds u_2
+        with pytest.raises(FloatingPointError):
+            update_allocations(state, np.random.default_rng(17))
+
 
 class TestChain:
     @pytest.fixture(scope="class")
@@ -414,3 +440,13 @@ class TestVarianceSummaries:
         tr = run_chain(data, iterations=800, burn_in=400, seed=1)
         mv = mixture_variance(tr)
         assert mv.ci_low > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mixture_state_beyond_float_range_leaves_interval_exact(self):
+        # a standard log-normal atom has variance e (e - 1); one state with
+        # tau = 1e-3 has a variance near exp(2000), beyond the float range
+        state = (np.array([1.0]), np.array([0.0]), np.array([1.0]), 1.0)
+        huge = (np.array([1.0]), np.array([0.0]), np.array([1e-3]), 1.0)
+        mv = mixture_variance(SimpleNamespace(mixtures=[state] * 100 + [huge]))
+        assert mv.ci_low == mv.ci_high == pytest.approx(math.e * (math.e - 1.0), rel=1e-12)
+        assert mv.mean == math.inf

@@ -42,9 +42,9 @@ class TestLeapfrog:
     def test_reversibility(self):
         q0 = np.array([0.3, -0.7, 1.1])
         p0 = np.array([0.5, 0.2, -0.4])
-        q1, p1, _, ok = leapfrog(q0, p0, 0.05, 30, _gauss)
+        q1, p1, _, ok = leapfrog(q0, p0, 0.05, 30, _gauss, -q0)
         assert ok
-        q2, p2, _, ok = leapfrog(q1, -p1, 0.05, 30, _gauss)
+        q2, p2, _, ok = leapfrog(q1, -p1, 0.05, 30, _gauss, -q1)
         assert ok
         assert np.max(np.abs(q2 - q0)) < 1e-10
         assert np.max(np.abs(-p2 - p0)) < 1e-10
@@ -54,7 +54,7 @@ class TestLeapfrog:
         p0 = np.array([0.5, 0.2])
         logp0, _ = _gauss(q0)
         h0 = -logp0 + 0.5 * float(p0 @ p0)
-        q1, p1, logp1, ok = leapfrog(q0, p0, 1e-3, 100, _gauss)
+        q1, p1, logp1, ok = leapfrog(q0, p0, 1e-3, 100, _gauss, -q0)
         assert ok
         h1 = -logp1 + 0.5 * float(p1 @ p1)
         assert abs(h1 - h0) < 1e-5
@@ -66,7 +66,7 @@ class TestLeapfrog:
         p0 = np.array([0.0])
         eps = 0.01
         n = int(round(2 * np.pi / eps))
-        q1, p1, _, _ = leapfrog(q0, p0, eps, n, _gauss)
+        q1, p1, _, _ = leapfrog(q0, p0, eps, n, _gauss, -q0)
         assert q1[0] == pytest.approx(1.0, abs=0.01)
         assert p1[0] == pytest.approx(0.0, abs=0.01)
 
@@ -90,6 +90,19 @@ class TestUpdate:
         assert divergent and not accepted
         assert np.array_equal(q, q0)
         assert accept_prob == 0.0
+
+    def test_one_gradient_evaluation_per_step_plus_start(self):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return _gauss(q)
+
+        rng = np.random.default_rng(4)
+        cfg = HmcConfig(step_size=0.05, leapfrog_steps=20, step_jitter=0.0, adapt=False)
+        _, _, divergent, _ = hmc_update(np.array([0.3, -0.2]), counted, cfg, rng)
+        assert not divergent
+        assert len(calls) == 21
 
     def test_invariance_of_gaussian_moments(self):
         rng = np.random.default_rng(2)
