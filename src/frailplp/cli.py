@@ -29,7 +29,7 @@ from .plp import (
 from .simulate import SCENARIOS, SimScenario, FrailtyMixture, simulate, write_frailties
 from .dpm import DpmHyperparams, run_chain, density_estimate, frailty_variance, mixture_variance
 from .hmc import HmcConfig
-from .diagnostics import geweke, autocorrelation, ess, run_harness
+from .diagnostics import GEWEKE_MIN_DRAWS, geweke, autocorrelation, ess, run_harness
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,15 +105,18 @@ def _write_estimates(path, rows, fmt=None):
 
 
 def _write_matrix(path, header, array):
-    """One CSV row per leading index; a 1-D array is a single column."""
-    array = np.asarray(array)
+    """One CSV row per leading index; a 1-D array is a single column.
+
+    Values are written as float reprs, one row at a time, with the CRLF line
+    ends of csv.writer.
+    """
+    array = np.asarray(array, dtype=float)
     if array.ndim == 1:
         array = array[:, None]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for i, row in enumerate(array):
-            writer.writerow([i] + [f"{float(v)!r}" for v in row])
+            fh.write(f"{i},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def cmd_simulate(args):
@@ -192,6 +195,10 @@ def cmd_mcmc(args):
     )
     if args.iterations <= args.burn_in:
         raise ConfigError("--iterations must exceed --burn-in")
+    if args.iterations - args.burn_in < GEWEKE_MIN_DRAWS:
+        raise ConfigError(
+            f"need at least {GEWEKE_MIN_DRAWS} post-burn-in iterations for the Geweke check"
+        )
     trace = run_chain(
         data,
         hyper=hyper,

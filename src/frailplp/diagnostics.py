@@ -23,6 +23,8 @@ __all__ = [
     "run_harness",
 ]
 
+GEWEKE_MIN_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class GewekeResult:
@@ -53,8 +55,8 @@ def geweke(chain, first_frac=0.1, last_frac=0.5) -> GewekeResult:
     scores 0 by convention.
     """
     x = np.asarray(chain, dtype=float)
-    if x.size < 100:
-        raise ValueError("chain too short for the diagnostic (need >= 100)")
+    if x.size < GEWEKE_MIN_DRAWS:
+        raise ValueError(f"chain too short for the diagnostic (need >= {GEWEKE_MIN_DRAWS})")
     n_a = int(first_frac * x.size)
     n_b = int(last_frac * x.size)
     a, b = x[:n_a], x[x.size - n_b :]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FailureDataset, CountSummary, summarize
-from .hmc import HmcConfig, DualAveraging, transform, log_target_z, hmc_update
+from .hmc import HmcConfig, DualAveraging, _sticks, log_target_z, hmc_update
 
 __all__ = [
     "DpmHyperparams",
@@ -61,6 +61,9 @@ class DpmState:
 
     Levels are 0-based internally; y_star is the count of levels up to and
     including the highest allocated one, l_star the number instantiated.
+    The frailties z and their logs w are derived from z_star once each time
+    it is assigned; w comes from the log-space sticks, so it stays finite
+    where z underflows to 0.
     """
 
     c: float
@@ -83,13 +86,12 @@ class DpmState:
     def l_star(self):
         return self.nu.size
 
-    @property
-    def z(self):
-        return transform(self.z_star)[0]
-
-    @property
-    def w(self):
-        return np.log(self.z)
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "z_star":
+            w = _sticks(value)[2]
+            super().__setattr__("w", w)
+            super().__setattr__("z", np.exp(w))
 
     def level_counts(self):
         return np.bincount(self.y, minlength=self.l_star)

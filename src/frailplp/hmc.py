@@ -6,6 +6,12 @@ construction: B_j = logistic(z*_j - log(m - j)), A_j = B_j * prod_{o<j}(1 -
 B_o), A_m closes the simplex, and Z = m * A.  The offsets log(m - j) center
 the map so z* = 0 gives Z = (1, ..., 1).  HMC runs on z* with the
 log-Jacobian folded into the target.
+
+With x = z* - offset, one softplus sp = log1p(exp(-|x|)) gives both
+log B = min(x, 0) - sp and log(1 - B) = -max(x, 0) - sp without overflow,
+and log |J| = sum_j log A_j over all m sticks.  Because h_k + tail_{k+1} =
+tail_k, where tail_k sums the per-system derivatives h_j for j >= k, the
+gradient folds to (1 + h_k) - B_k (m - k + 1 + tail_k).
 """
 
 from __future__ import annotations
@@ -45,31 +51,28 @@ class HmcConfig:
             raise ValueError("step jitter must lie in [0, 1)")
 
 
-def _log_sigmoid(x):
-    # log(1/(1+e^-x)) without overflow on either tail
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
-
-
 def _sticks(z_star):
-    """Shared forward pass: log B, log(1-B), and the log remaining stick mass."""
+    """Shared forward pass: (m, m-1, ..., 1), log B, the log-frailties w, log |J|."""
     z_star = np.asarray(z_star, dtype=float)
     m = z_star.size + 1
-    offset = np.log(np.arange(m - 1, 0, -1, dtype=float))
-    x = z_star - offset
-    log_b = _log_sigmoid(x)
-    log_1mb = _log_sigmoid(-x)
-    # log prod_{o<j}(1 - B_o), j = 1..m (index 0 is the empty product)
-    log_rem = np.concatenate(([0.0], np.cumsum(log_1mb)))
-    return m, log_b, log_1mb, log_rem
+    r = np.arange(m, 0, -1, dtype=float)
+    x = z_star - np.log(r[1:])
+    sp = np.log1p(np.exp(-np.abs(x)))
+    log_b = np.minimum(x, 0.0) - sp
+    # w[j] = log prod_{o<j}(1 - B_o) (w[0] is the empty product), then log A, then log Z
+    w = np.empty(m)
+    w[0] = 0.0
+    (-np.maximum(x, 0.0) - sp).cumsum(out=w[1:])
+    w[:-1] += log_b
+    log_jac = float(w.sum())
+    w += math.log(m)
+    return r, log_b, w, log_jac
 
 
 def transform(z_star):
     """Map unconstrained z* to (Z, log |Jacobian|); mean(Z) = 1 by construction."""
-    m, log_b, log_1mb, log_rem = _sticks(z_star)
-    log_a = np.concatenate((log_b + log_rem[:-1], [log_rem[-1]]))
-    z = m * np.exp(log_a)
-    log_jac = float(np.sum(log_b + log_1mb + log_rem[:-1]))
-    return z, log_jac
+    _, _, w, log_jac = _sticks(z_star)
+    return np.exp(w), log_jac
 
 
 def inverse_transform(z):
@@ -101,23 +104,18 @@ def log_target_z(z_star, n_j, mu_y, tau_y):
     plus the log-Jacobian.  The gradient is exact; additive constants in the
     normal densities are dropped.
     """
-    n_j = np.asarray(n_j, dtype=float)
-    mu_y = np.asarray(mu_y, dtype=float)
-    tau_y = np.asarray(tau_y, dtype=float)
-    m, log_b, log_1mb, log_rem = _sticks(z_star)
-    w = math.log(m) + np.concatenate((log_b + log_rem[:-1], [log_rem[-1]]))
+    r, log_b, w, log_jac = _sticks(z_star)
+    n1 = np.asarray(n_j, dtype=float) - 1.0
+    d = w - mu_y
+    td = tau_y * d
+    logp = log_jac + float(n1.dot(w)) - 0.5 * float(td.dot(d))
 
-    log_jac = np.sum(log_b + log_1mb + log_rem[:-1])
-    logp = float(log_jac + np.sum((n_j - 1.0) * w - 0.5 * tau_y * (w - mu_y) ** 2))
-
-    # h_j = d/dw_j of the per-system term; gradient in z* follows from the
-    # stick-breaking chain rule:
-    #   dL/dz*_k = (1 - B_k)(1 + h_k) - B_k (m - k + sum_{j>k} h_j), k = 1..m-1
-    h = n_j - 1.0 - tau_y * (w - mu_y)
-    b = np.exp(log_b)
-    tail = np.cumsum(h[::-1])[::-1]  # tail[k] = sum_{j >= k} h_j (0-based)
-    k = np.arange(1, m, dtype=float)
-    grad = (1.0 - b) * (1.0 + h[:-1]) - b * (m - k + tail[1:])
+    # h_j = d/dw_j of the per-system term; with tail_k = sum_{j>=k} h_j the
+    # stick-breaking chain rule gives, for k = 1..m-1,
+    #   dL/dz*_k = (1 + h_k) - B_k (m - k + 1 + tail_k)
+    h = n1 - td
+    tail = h[::-1].cumsum()[::-1]
+    grad = (1.0 + h[:-1]) - np.exp(log_b) * (r[:-1] + tail[:-1])
     return logp, grad
 
 
@@ -132,7 +130,7 @@ def leapfrog(z_star, p, eps, n_steps, grad_fn, grad0):
     for step in range(n_steps):
         q = q + eps * p
         logp, grad = grad_fn(q)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             return q, p, -np.inf, False
         p = p + (eps if step < n_steps - 1 else 0.5 * eps) * grad
     return q, p, logp, True

@@ -1,12 +1,13 @@
 """Command-line interface: workflows, exit codes, reproducibility."""
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from frailplp.cli import main, EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL
+from frailplp.cli import main, _write_matrix, EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL
 from frailplp.data import ingest
 from frailplp.simulate import read_frailties
 
@@ -216,6 +217,18 @@ class TestMcmc:
         )
         assert code == EXIT_CONFIG
 
+    def test_short_chain_rejected_before_running(self, mcmc_out, tmp_path, capsys):
+        # 50 post-burn-in draws cannot feed the Geweke check in summary.json
+        data = mcmc_out.parent / "fleet.csv"
+        out = tmp_path / "short"
+        code = run(
+            "mcmc", "--data", str(data), "--out-dir", str(out),
+            "--iterations", "150", "--burn-in", "100",
+        )
+        assert code == EXIT_CONFIG
+        assert "post-burn-in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, mcmc_out, tmp_path, monkeypatch, capsys):
         def broken_chain(*args, **kwargs):
             raise FloatingPointError("non-finite state")
@@ -224,10 +237,40 @@ class TestMcmc:
         data = mcmc_out.parent / "fleet.csv"
         code = run(
             "mcmc", "--data", str(data), "--out-dir", str(tmp_path / "x"),
-            "--iterations", "20", "--burn-in", "10",
+            "--iterations", "200", "--burn-in", "100",
         )
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestWriteMatrix:
+    @staticmethod
+    def reference(path, header, array):
+        """Per-value csv.writer output that _write_matrix must reproduce."""
+        array = np.asarray(array)
+        if array.ndim == 1:
+            array = array[:, None]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i, row in enumerate(array):
+                writer.writerow([i] + [f"{float(v)!r}" for v in row])
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([[0.1, -2.5e-300, 5e-324], [1e300, -0.0, 3.0], [np.inf, -np.inf, np.nan]]),
+            np.random.default_rng(0).lognormal(sigma=3.0, size=(40, 7)),
+            np.array([0.25, 1.0 / 3.0, 7.0]),
+            np.array([1, 0, 0, 1]),
+            np.empty((0, 2)),
+        ],
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, array):
+        header = ["index", "a", "b"]
+        _write_matrix(tmp_path / "new.csv", header, array)
+        self.reference(tmp_path / "ref.csv", header, array)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDiagnose:

@@ -12,7 +12,7 @@ from scipy.stats import chisquare
 from frailplp.data import ObservationDesign
 from frailplp.plp import PlpParams
 from frailplp.simulate import SimScenario, simulate
-from frailplp.hmc import inverse_transform
+from frailplp.hmc import inverse_transform, transform
 from frailplp.dpm import (
     DpmHyperparams,
     DpmState,
@@ -45,6 +45,42 @@ def make_state(m=6, levels=4, y=None, c=1.0, seed=0, z=None):
         z_star=np.zeros(m - 1) if z is None else inverse_transform(z),
     )
     return state
+
+
+class TestDerivedFrailties:
+    def test_log_frailties_finite_where_frailties_underflow(self):
+        m = 1000
+        state = make_state(m=m)
+        state.z_star = np.random.default_rng(3).uniform(-20.0, 20.0, size=m - 1)
+        z, _ = transform(state.z_star)
+        assert np.any(z == 0.0)
+        assert np.array_equal(state.z, z)
+        assert np.all(np.isfinite(state.w))
+        normal = z > 1e-300
+        assert np.allclose(state.w[normal], np.log(z[normal]), rtol=1e-12, atol=1e-12)
+
+    def test_one_forward_pass_per_sweep(self, monkeypatch):
+        # log_target_z makes its own passes through the hmc module; the state
+        # derives z and w once per assignment of z_star
+        import frailplp.dpm as dpm
+
+        calls = []
+        sticks = dpm._sticks
+
+        def counted(z_star):
+            calls.append(1)
+            return sticks(z_star)
+
+        monkeypatch.setattr(dpm, "_sticks", counted)
+        data, _ = simulate(
+            SimScenario(
+                design=ObservationDesign(T=20.0, m=8, K=1),
+                true_params=PlpParams(beta=np.array([1.2]), alpha=np.array([5.0])),
+                seed=0,
+            )
+        )
+        run_chain(data, iterations=30, burn_in=10, seed=0)
+        assert len(calls) == 1 + 30  # initial state, then one per sweep
 
 
 class TestStickBreaking:

@@ -56,10 +56,11 @@ class TestForward:
 class TestInverse:
     @settings(max_examples=100, deadline=None)
     @given(
-        st.integers(2, 30),
+        st.integers(2, 10_000),
         st.integers(0, 2**32 - 1),
     )
     def test_round_trip(self, m, seed):
+        # at m = 10^4 the frailties reach ~1e-40
         rng = np.random.default_rng(seed)
         z_star = rng.uniform(-5.0, 5.0, size=m - 1)
         z, _ = transform(z_star)
@@ -139,3 +140,71 @@ class TestTargetGradient:
         expected = log_jac + float(np.sum((n_j - 1.0) * w - 0.5 * tau * (w - mu) ** 2))
         logp, _ = log_target_z(z_star, n_j, mu, tau)
         assert logp == pytest.approx(expected, rel=1e-12)
+
+
+def _reference_log_sigmoid(x):
+    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+
+
+def _reference_sticks(z_star):
+    m = z_star.size + 1
+    x = z_star - np.log(np.arange(m - 1, 0, -1, dtype=float))
+    log_b = _reference_log_sigmoid(x)
+    log_1mb = _reference_log_sigmoid(-x)
+    log_rem = np.concatenate(([0.0], np.cumsum(log_1mb)))
+    return m, log_b, log_1mb, log_rem
+
+
+def reference_transform(z_star):
+    """Two-branch log-sigmoid forward pass, kept as the reference."""
+    m, log_b, log_1mb, log_rem = _reference_sticks(z_star)
+    log_a = np.concatenate((log_b + log_rem[:-1], [log_rem[-1]]))
+    return m * np.exp(log_a), float(np.sum(log_b + log_1mb + log_rem[:-1]))
+
+
+def reference_log_target_z(z_star, n_j, mu_y, tau_y):
+    """Unfolded gradient (1 - B_k)(1 + h_k) - B_k (m - k + tail_{k+1}), kept as the reference."""
+    m, log_b, log_1mb, log_rem = _reference_sticks(z_star)
+    w = math.log(m) + np.concatenate((log_b + log_rem[:-1], [log_rem[-1]]))
+    log_jac = np.sum(log_b + log_1mb + log_rem[:-1])
+    logp = float(log_jac + np.sum((n_j - 1.0) * w - 0.5 * tau_y * (w - mu_y) ** 2))
+    h = n_j - 1.0 - tau_y * (w - mu_y)
+    b = np.exp(log_b)
+    tail = np.cumsum(h[::-1])[::-1]
+    k = np.arange(1, m, dtype=float)
+    grad = (1.0 - b) * (1.0 + h[:-1]) - b * (m - k + tail[1:])
+    return logp, grad
+
+
+def _close(new, ref, rel=1e-12):
+    """Equal to rel times the largest reference magnitude."""
+    new, ref = np.atleast_1d(new), np.atleast_1d(ref)
+    return np.all(np.isfinite(new)) and np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestMatchesReferenceKernel:
+    """The one-softplus forward pass and the folded gradient equal the
+    two-branch formulas up to summation order."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [2, 50, 500, 5000])
+    @pytest.mark.parametrize("max_logit", [1.0, 30.0, 800.0])
+    def test_logp_gradient_frailties_and_jacobian(self, m, max_logit):
+        rng = np.random.default_rng(m)
+        x = rng.uniform(-max_logit, max_logit, size=m - 1)
+        x[0] = max_logit  # hit the largest |x| on both signs
+        x[-1] = -max_logit
+        z_star = x + np.log(np.arange(m - 1, 0, -1, dtype=float))
+        n_j = rng.poisson(5.0, size=m).astype(float)
+        mu = rng.normal(size=m)
+        tau = rng.uniform(0.5, 3.0, size=m)
+
+        logp, grad = log_target_z(z_star, n_j, mu, tau)
+        ref_logp, ref_grad = reference_log_target_z(z_star, n_j, mu, tau)
+        assert _close(logp, ref_logp)
+        assert _close(grad, ref_grad)
+
+        z, log_jac = transform(z_star)
+        ref_z, ref_log_jac = reference_transform(z_star)
+        assert _close(z, ref_z)
+        assert _close(log_jac, ref_log_jac)
