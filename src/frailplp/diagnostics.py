@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import summarize
-from .plp import PriorConfig, posterior as plp_posterior
+from .plp import PriorConfig, _gamma_pq, posterior as plp_posterior
 from .simulate import SimScenario, simulate
 from . import dpm
 from .hmc import HmcConfig
@@ -37,12 +37,24 @@ class GewekeResult:
         return abs(self.z_score) < 1.96
 
 
+def _autocovariance(x, max_lag):
+    """(1/n) sum_t x_t x_(t+k) for k = 0..max_lag, for a centred chain x.
+
+    One real FFT, zero-padded to at least 2n so that no lag wraps around:
+    O(n log n) where the direct sum over all lags is O(n^2).
+    """
+    n = x.size
+    size = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(x, size)
+    return np.fft.irfft(f.real**2 + f.imag**2, size)[: max_lag + 1] / n
+
+
 def _spectral_variance_at_zero(x, lag_frac=0.04):
     """Zero-frequency spectral density estimate with a Bartlett lag window."""
     n = x.size
     x = x - x.mean()
     max_lag = max(1, int(lag_frac * n))
-    acov = np.correlate(x, x, mode="full")[n - 1 : n + max_lag] / n
+    acov = _autocovariance(x, max_lag)
     weights = 1.0 - np.arange(1, max_lag + 1) / (max_lag + 1.0)
     return float(acov[0] + 2.0 * np.sum(weights * acov[1:]))
 
@@ -79,8 +91,7 @@ def autocorrelation(chain, max_lag):
     var = float(x @ x) / n
     if var == 0.0:
         return np.concatenate(([1.0], np.zeros(max_lag)))
-    acov = np.correlate(x, x, mode="full")[n - 1 : n + max_lag] / n
-    return acov / var
+    return _autocovariance(x, max_lag) / var
 
 
 def ess(chain):
@@ -146,6 +157,18 @@ def _summarize_param(name, truth, estimates, covered):
     )
 
 
+def _interval_covers(shape, rate, truth):
+    """Whether each equal-tail 95% Gamma(shape, rate) interval holds truth.
+
+    lo <= truth <= hi exactly when neither tail beyond truth holds less than
+    2.5%, so one incomplete-gamma call scores a whole array of marginals
+    without computing a quantile.
+    """
+    lower, upper, _ = _gamma_pq(shape, rate * truth)
+    half = (1.0 - 0.95) / 2.0
+    return (lower >= half) & (upper >= half)
+
+
 def run_harness(
     scenario: SimScenario,
     prior: PriorConfig = PriorConfig(),
@@ -170,8 +193,7 @@ def run_harness(
     truths = [(f"beta_{q + 1}", float(scenario.true_params.beta[q])) for q in range(K)]
     truths += [(f"alpha_{q + 1}", float(scenario.true_params.alpha[q])) for q in range(K)]
 
-    estimates = {name: [] for name, _ in truths}
-    covered = {name: [] for name, _ in truths}
+    marginals = {name: [] for name, _ in truths}  # (shape, rate) per replication
     eta_estimates, eta_covered = [], []
 
     for rep in range(M):
@@ -188,11 +210,7 @@ def run_harness(
         post = plp_posterior(summary, prior)
         for q in range(K):
             for kind, marg in (("beta", post.beta_marginals[q]), ("alpha", post.alpha_marginals[q])):
-                name = f"{kind}_{q + 1}"
-                truth = dict(truths)[name]
-                lo, hi = marg.interval(0.95)
-                estimates[name].append(marg.mean)
-                covered[name].append(lo <= truth <= hi)
+                marginals[f"{kind}_{q + 1}"].append((marg.shape, marg.rate))
         if with_mcmc:
             trace = dpm.run_chain(
                 summary,
@@ -206,10 +224,10 @@ def run_harness(
             eta_estimates.append(vz.mean)
             eta_covered.append(vz.ci_low <= scenario.eta <= vz.ci_high)
 
-    rows = [
-        _summarize_param(name, truth, estimates[name], covered[name])
-        for name, truth in truths
-    ]
+    rows = []
+    for name, truth in truths:
+        shape, rate = np.array(marginals[name]).T
+        rows.append(_summarize_param(name, truth, shape / rate, _interval_covers(shape, rate, truth)))
     if with_mcmc:
         rows.append(_summarize_param("eta", scenario.eta, eta_estimates, eta_covered))
     return HarnessReport(scenario=scenario, M=M, rows=rows)

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -365,3 +369,42 @@ class TestConfigFile:
             "--seed", "1",
         )
         assert code == EXIT_CONFIG
+
+
+RUNTIME_PROBE = """
+import sys
+import numpy as np
+from frailplp.cli import main
+
+after_import = set(sys.modules)
+out = sys.argv[1]
+codes = [
+    main(["simulate", "--out", out + "/fleet.csv", "--m", "30", "--T", "20",
+          "--beta", "1.2,0.7", "--alpha", "5,13.33", "--eta", "0.5", "--seed", "3"]),
+    main(["fit", "--data", out + "/fleet.csv", "--out", out + "/est.csv", "--duane-out", out + "/duane"]),
+    main(["benchmark", "--scenario", "A", "--m", "20", "--eta", "0.5", "--M", "5",
+          "--seed", "1", "--out", out + "/bench.csv"]),
+]
+lazy_fft = int(np.__version__.split(".")[0]) >= 2
+print(codes)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(lazy_fft and "numpy.fft" in after_import)
+"""
+
+
+class TestRuntimeDependencies:
+    def test_cli_runs_without_scipy(self, tmp_path):
+        # A fresh interpreter, so that no scipy imported by the test suite
+        # itself can hide an import made by the package.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", RUNTIME_PROBE, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        codes, scipy_modules, fft_at_import = proc.stdout.strip().splitlines()[-3:]
+        assert codes == "[0, 0, 0]"
+        assert scipy_modules == "[]"
+        # numpy 2 loads numpy.fft on first use; the diagnostics touch it only
+        # when called, so importing the CLI does not pay for it.
+        assert fft_at_import == "False"

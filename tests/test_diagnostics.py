@@ -1,12 +1,22 @@
 """Chain diagnostics and the Monte Carlo evaluation harness."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frailplp.data import ObservationDesign
-from frailplp.plp import PlpParams, PriorConfig
+from frailplp.plp import GammaMarginal, PlpParams, PriorConfig
 from frailplp.simulate import SimScenario
-from frailplp.diagnostics import geweke, autocorrelation, ess, run_harness
+from frailplp.diagnostics import (
+    _interval_covers,
+    _spectral_variance_at_zero,
+    autocorrelation,
+    ess,
+    geweke,
+    run_harness,
+)
 
 
 def ar1(n, rho, rng, burn=500):
@@ -89,6 +99,70 @@ class TestEss:
 
     def test_constant_chain_is_zero(self):
         assert ess(np.full(500, 1.0)) == 0.0
+
+
+def _direct_autocovariance(x, max_lag):
+    """The O(n^2) reference: every lag of np.correlate on the centred chain."""
+    n = x.size
+    x = x - x.mean()
+    return np.correlate(x, x, mode="full")[n - 1 : n + max_lag] / n
+
+
+class TestFftAutocovarianceMatchesDirectSum:
+    @pytest.mark.parametrize("n, rho", [(2, 0.0), (3, 0.5), (101, 0.9), (1000, -0.6), (4096, 0.99)])
+    def test_acf_ess_and_spectral_variance(self, n, rho):
+        rng = np.random.default_rng(n)
+        x = ar1(n, rho, rng, burn=50) + 3.0
+        ref = _direct_autocovariance(x, n - 1)
+        tol = 1e-12 * ref[0]
+        assert np.max(np.abs(autocorrelation(x, n - 1) * ref[0] - ref)) <= tol
+        # ess (same truncation rule) and Geweke's spectral variance, both
+        # recomputed from the direct sum
+        acf = ref / ref[0]
+        tau, k = 1.0, 1
+        while k + 1 < min(n - 1, max(10, n // 2)) + 1:
+            if acf[k] + acf[k + 1] <= 0:
+                break
+            tau += 2.0 * (acf[k] + acf[k + 1])
+            k += 2
+        assert ess(x) == pytest.approx(n / tau, rel=1e-12)
+        max_lag = max(1, int(0.04 * n))
+        w = 1.0 - np.arange(1, max_lag + 1) / (max_lag + 1.0)
+        spectral = ref[0] + 2.0 * np.sum(w * ref[1 : max_lag + 1])
+        assert abs(_spectral_variance_at_zero(x) - spectral) <= 4 * tol
+
+
+class TestIntervalCoverage:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        marginals=st.lists(
+            st.tuples(
+                st.floats(0.05, 1e5),
+                st.floats(0.01, 100.0),
+                st.one_of(
+                    st.floats(1e-6, 1.0 - 1e-6),
+                    st.floats(0.0249, 0.0251),
+                    st.floats(0.9749, 0.9751),
+                    st.sampled_from([0.025, 0.975]),
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        truth_scale=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+    )
+    def test_batched_coverage_equals_interval_test(self, marginals, truth_scale):
+        # Each truth sits at a quantile of its own marginal, often next to an
+        # interval endpoint, so that both outcomes and the edges are exercised.
+        shape, rate, u = (np.array(c) for c in zip(*marginals))
+        gammas = [GammaMarginal(shape=a, rate=b) for a, b in zip(shape, rate)]
+        truth = np.array([g.ppf(p) for g, p in zip(gammas, u)]) * truth_scale
+        covered = _interval_covers(shape, rate, truth)
+        for g, t, hit in zip(gammas, truth, covered):
+            lo, hi = g.interval(0.95)
+            if math.isclose(t, lo, rel_tol=1e-12) or math.isclose(t, hi, rel_tol=1e-12):
+                continue
+            assert hit == (lo <= t <= hi)
 
 
 class TestHarness:

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import gammainc, gammaincc, gammaincinv
 from scipy.stats import gamma as gamma_dist
 
 from frailplp.data import ObservationDesign, summarize
@@ -217,6 +219,81 @@ class TestGammaMarginal:
         lo2, hi2 = g.interval(min(level + 0.005, 0.995))
         assert lo > 0 and lo < hi
         assert lo2 <= lo and hi2 >= hi
+
+
+SHAPES = np.concatenate([np.geomspace(0.5, 1e5, 23), [1.0, 2.0, 3.7, 9.99, 10.0, 10.01, 45_000.0]])
+PROBS = np.concatenate([np.geomspace(1e-12, 0.5, 20), 1.0 - np.geomspace(1e-12, 0.5, 20)[:-1]])
+
+
+def _rel(a, b):
+    return np.abs(np.asarray(a) / np.asarray(b) - 1.0)
+
+
+class TestIncompleteGamma:
+    """The numpy incomplete gamma and its inverse against reference libraries."""
+
+    def test_ppf_matches_gammaincinv_on_grid(self):
+        for shape in SHAPES:
+            x = GammaMarginal(shape=shape, rate=1.0).ppf(PROBS)
+            assert _rel(x, gammaincinv(shape, PROBS)).max() <= 1e-13, shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_shape=st.floats(math.log(0.5), math.log(1e5)),
+        p=st.floats(1e-12, 1.0 - 1e-12),
+        rate=st.floats(0.01, 100.0),
+    )
+    def test_ppf_matches_gammaincinv(self, log_shape, p, rate):
+        shape = math.exp(log_shape)
+        x = GammaMarginal(shape=shape, rate=rate).ppf(p)
+        assert _rel(x * rate, gammaincinv(shape, p)) <= 1e-13
+
+    def test_cdf_sf_match_gammainc_on_grid(self):
+        # scipy's own P and Q drift by up to ~4e-13 on this grid (its log
+        # prefactor a log x - x - lgamma(a) cancels), so the 1e-13 check is
+        # against 30-digit mpmath on a subgrid and scipy gets a 1e-12 band.
+        for shape in SHAPES:
+            g = GammaMarginal(shape=shape, rate=1.0)
+            x = gammaincinv(shape, PROBS)
+            assert _rel(g.cdf(x), gammainc(shape, x)).max() <= 1e-12, shape
+            assert _rel(g.sf(x), gammaincc(shape, x)).max() <= 1e-12, shape
+        with mpmath.workdps(30):
+            for shape in SHAPES[::3]:
+                g = GammaMarginal(shape=shape, rate=1.0)
+                x = gammaincinv(shape, PROBS[::2])
+                lower = np.array([float(mpmath.gammainc(shape, 0, v, regularized=True)) for v in x])
+                upper = np.array([float(mpmath.gammainc(shape, v, mpmath.inf, regularized=True)) for v in x])
+                assert _rel(g.cdf(x), lower).max() <= 1e-13, shape
+                assert _rel(g.sf(x), upper).max() <= 1e-13, shape
+
+    def test_cdf_sf_scale_by_rate_and_keep_shape(self):
+        g = GammaMarginal(shape=3.7, rate=1.9)
+        x = np.array([[0.5, 2.0], [4.0, 9.0]])
+        assert g.cdf(x).shape == x.shape
+        assert np.allclose(g.cdf(x), gamma_dist.cdf(x, a=3.7, scale=1 / 1.9), rtol=1e-13, atol=0)
+        assert np.allclose(g.sf(x), gamma_dist.sf(x, a=3.7, scale=1 / 1.9), rtol=1e-13, atol=0)
+        assert g.cdf(0.0) == 0.0 and g.sf(0.0) == 1.0
+
+    def test_ppf_endpoints(self):
+        g = GammaMarginal(shape=2.5, rate=3.0)
+        assert g.ppf(0.0) == 0.0
+        assert g.ppf(1.0) == math.inf
+        assert np.shape(g.ppf(0.3)) == ()
+
+    @pytest.mark.parametrize("shape", [0.05, 0.2])
+    def test_small_shape_quantile_finite_and_monotone(self, shape):
+        # n_q + 1 - zeta can be any positive number, so the beta marginal's
+        # shape reaches well below the range where scipy is compared at 1e-13.
+        p = np.concatenate([np.geomspace(1e-12, 0.5, 200), 1.0 - np.geomspace(1e-12, 0.5, 200)[::-1]])
+        x = GammaMarginal(shape=shape, rate=1.0).ppf(p)
+        assert np.all(np.isfinite(x)) and np.all(np.diff(x) >= 0)
+        assert _rel(x, gammaincinv(shape, p)).max() <= 1e-12
+
+    def test_small_shape_small_p_start(self):
+        # Wilson-Hilferty goes negative here; the (p Gamma(a+1))^(1/a) start
+        # keeps the iteration on the right root.
+        x = GammaMarginal(shape=3.7, rate=1.0).ppf(1.4e-8)
+        assert _rel(x, gammaincinv(3.7, 1.4e-8)) <= 1e-13
 
 
 class TestPosterior:
