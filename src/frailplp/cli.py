@@ -160,6 +160,8 @@ def cmd_fit(args):
     data = _read_dataset(args)
     if len(data) == 0:
         raise DatasetError("dataset contains no failures; nothing to fit")
+    causes = range(1, data.design.K + 1)
+    duane = [duane_points(data, q) for q in causes] if args.duane_out else []
     post = posterior(summarize(data), PriorConfig(zeta=args.zeta))
     rows = bayes_estimates(post)
     _write_estimates(args.out, rows)
@@ -168,15 +170,13 @@ def cmd_fit(args):
     if data.design.m == 1 and data.design.K == 1:
         beta_hat, mu_hat = classic_mle(data)
         print(f"classic MLEs: beta_hat={beta_hat:.6f}  mu_hat={mu_hat:.6f}")
-    if args.duane_out:
-        for q in range(1, data.design.K + 1):
-            log_t, log_n, slope = duane_points(data, q)
-            _write_matrix(
-                f"{args.duane_out}.cause{q}.csv",
-                ["index", "log_time", "log_count"],
-                np.column_stack([log_t, log_n]),
-            )
-            print(f"duane slope cause {q}: {slope:.4f}")
+    for q, (log_t, log_n, slope) in zip(causes, duane):
+        _write_matrix(
+            f"{args.duane_out}.cause{q}.csv",
+            ["index", "log_time", "log_count"],
+            np.column_stack([log_t, log_n]),
+        )
+        print(f"duane slope cause {q}: {slope:.4f}")
     return EXIT_OK
 
 

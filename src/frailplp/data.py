@@ -10,6 +10,7 @@ only through m.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +79,13 @@ class FailureDataset:
         time = np.asarray(time, dtype=float)
         if not (time.ndim == 1 and system_id.shape == cause.shape == time.shape):
             raise DatasetError("system_id, cause and time must be 1-D columns of one length")
-        order = np.lexsort((time, system_id))
-        system_id, cause, time = system_id[order], cause[order], time[order]
+        same_system = system_id[1:] == system_id[:-1]
+        in_order = (system_id[1:] > system_id[:-1]) | (same_system & (time[1:] >= time[:-1]))
+        if in_order.all():
+            system_id, cause, time = system_id.copy(), cause.copy(), time.copy()
+        else:
+            order = np.lexsort((time, system_id))
+            system_id, cause, time = system_id[order], cause[order], time[order]
         bad_system = (system_id < 1) | (system_id > design.m)
         bad_cause = (cause < 1) | (cause > design.K)
         bad_time = ~((time > 0.0) & (time < design.T))
@@ -136,7 +142,7 @@ def summarize(data: FailureDataset) -> CountSummary:
     d = data.design
     cell = (data.system_id - 1) * d.K + (data.cause - 1)
     n_jq = np.bincount(cell, minlength=d.m * d.K).reshape(d.m, d.K)
-    log_ratio = np.bincount(data.cause - 1, weights=np.log(d.T / data.time), minlength=d.K)
+    log_ratio = np.bincount(data.cause - 1, weights=np.log(d.T) - np.log(data.time), minlength=d.K)
     return CountSummary(
         n_jq=n_jq,
         n_j=n_jq.sum(axis=1),
@@ -167,54 +173,77 @@ def _parse_metadata(lines):
     return out
 
 
+def _read_rows(fh, dtype, lineno):
+    """Parse the rest of an open text file as comma-separated rows of `dtype`.
+
+    `dtype` is a structured dtype with one field per column; `lineno` is the
+    file's line number of the next line.  The rows are read in one
+    ``np.loadtxt`` pass.  Should that pass refuse the text (a whole-line
+    ``#`` comment, a whitespace-only line, a field that only Python's
+    ``int``/``float`` accept, a malformed row, no rows at all), the rows are
+    read again one line at a time: blank and ``#`` lines are skipped, fields
+    are stripped and converted with ``int``/``float``, and a bad row raises
+    `ParseError` naming its line.
+    """
+    start = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        fh.seek(start)
+    convert = [int if dtype[name].kind == "i" else float for name in dtype.names]
+    rows = []
+    for lineno, raw in enumerate(fh, start=lineno):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        parts = raw.split(",")
+        if len(parts) != len(convert):
+            raise ParseError(f"expected {len(convert)} columns, got {len(parts)}", line=lineno)
+        try:
+            rows.append(tuple(f(part.strip()) for f, part in zip(convert, parts)))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    return np.array(rows, dtype=dtype)
+
+
+_EVENT_ROW = np.dtype([("system_id", np.int64), ("cause", np.int64), ("time", np.float64)])
+
+
 def ingest(path, design: ObservationDesign | None = None) -> FailureDataset:
     """Read the canonical CSV format.
 
     Leading comment lines ``# T=.. / # m=.. / # K=..`` supply the design;
     an explicit `design` argument overrides them.  The header row must be
-    ``system_id,cause,time``; each following row is one failure.
+    ``system_id,cause,time``; each following row is one failure (see
+    `_read_rows` for what else the body may hold).
     """
     comment_lines = []
-    system_id, cause, time = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header_idx = None
-    for i, raw in enumerate(lines):
-        if raw.startswith("#"):
-            comment_lines.append((i + 1, raw))
-        elif raw.strip():
-            header_idx = i
-            break
-    if header_idx is None:
-        raise ParseError("missing header row 'system_id,cause,time'")
-    header = [c.strip() for c in lines[header_idx].split(",")]
-    if header != ["system_id", "cause", "time"]:
-        raise ParseError(f"unexpected header {lines[header_idx]!r}", line=header_idx + 1)
+        lineno = 0
+        for raw in iter(fh.readline, ""):
+            lineno += 1
+            raw = raw.rstrip("\n")
+            if raw.startswith("#"):
+                comment_lines.append((lineno, raw))
+            elif raw.strip():
+                break
+        else:
+            raise ParseError("missing header row 'system_id,cause,time'")
+        if [c.strip() for c in raw.split(",")] != ["system_id", "cause", "time"]:
+            raise ParseError(f"unexpected header {raw!r}", line=lineno)
 
-    if design is None:
-        meta = _parse_metadata(comment_lines)
-        missing = {"T", "m", "K"} - meta.keys()
-        if missing:
-            raise ParseError(
-                f"no design given and metadata lacks {sorted(missing)}"
-            )
-        design = ObservationDesign(T=meta["T"], m=meta["m"], K=meta["K"])
+        if design is None:
+            meta = _parse_metadata(comment_lines)
+            missing = {"T", "m", "K"} - meta.keys()
+            if missing:
+                raise ParseError(
+                    f"no design given and metadata lacks {sorted(missing)}"
+                )
+            design = ObservationDesign(T=meta["T"], m=meta["m"], K=meta["K"])
 
-    for lineno in range(header_idx + 1, len(lines)):
-        raw = lines[lineno]
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        parts = [c.strip() for c in raw.split(",")]
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 columns, got {len(parts)}", line=lineno + 1)
-        try:
-            j, t, q = int(parts[0]), float(parts[2]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno + 1) from None
-        system_id.append(j)
-        cause.append(q)
-        time.append(t)
-    return FailureDataset(design, system_id, cause, time)
+        rows = _read_rows(fh, _EVENT_ROW, lineno + 1)
+    return FailureDataset(design, rows["system_id"], rows["cause"], rows["time"])
 
 
 def write_dataset(path, data: FailureDataset) -> None:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FailureDataset, CountSummary, summarize
+from .data import FailureDataset, CountSummary, DatasetError, summarize
 
 __all__ = [
     "PlpParams",
@@ -440,7 +440,7 @@ def duane_points(data: FailureDataset, cause: int):
     """
     times = np.sort(data.time[data.cause == cause])
     if times.size < 2:
-        raise ValueError(f"cause {cause} needs at least 2 failures for a Duane plot")
+        raise DatasetError(f"cause {cause} needs at least 2 failures for a Duane plot")
     log_t = np.log(times)
     log_n = np.log(np.arange(1, times.size + 1, dtype=float))
     slope = float(np.polyfit(log_t, log_n, 1)[0])

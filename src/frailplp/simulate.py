@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FailureDataset, ObservationDesign
+from .data import FailureDataset, ObservationDesign, _read_rows
 from .plp import PlpParams
 
 __all__ = [
@@ -151,7 +151,11 @@ def write_frailties(path, z) -> None:
             fh.write(f"{j},{float(zj)!r}\n")
 
 
+_FRAILTY_ROW = np.dtype([("system_id", np.int64), ("z", np.float64)])
+
+
 def read_frailties(path) -> np.ndarray:
+    """The frailty column of a `write_frailties` sidecar (its first line is the header)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    return np.array([float(line.split(",")[1]) for line in lines[1:] if line.strip()])
+        fh.readline()
+        return _read_rows(fh, _FRAILTY_ROW, 2)["z"].copy()

@@ -130,6 +130,18 @@ class TestFit:
         write_dataset(path, make_dataset(m=2, events=[(1, 1, 5.0)]))
         assert run("fit", "--data", str(path), "--out", str(tmp_path / "e.csv")) == EXIT_NUMERICAL
 
+    def test_short_duane_cause_is_data_error_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        events = [(1, 1, 2.0), (2, 1, 5.0), (3, 1, 7.0), (1, 2, 4.0)]
+        write_dataset(path, make_dataset(m=3, K=2, events=events))
+        code = run(
+            "fit", "--data", str(path), "--out", str(tmp_path / "e.csv"),
+            "--duane-out", str(tmp_path / "duane"), "--zeta", "1.5",
+        )
+        assert code == EXIT_DATA
+        assert "cause 2 needs at least 2 failures" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short.csv"]
+
     def test_single_system_prints_classic_mles(self, tmp_path, capsys):
         T = 20.0
         path = tmp_path / "single.csv"

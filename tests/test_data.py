@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frailplp.data import (
+    _parse_metadata,
     ObservationDesign,
+    FailureDataset,
     DatasetError,
     ParseError,
     ingest,
@@ -66,6 +68,14 @@ class TestValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             data.time = np.array([1.0, 2.0])
 
+    def test_sorted_columns_are_copied_not_adopted(self):
+        system_id = np.array([1, 1, 2], dtype=np.int64)
+        time = np.array([2.0, 9.0, 3.0])
+        data = FailureDataset(ObservationDesign(T=20.0, m=2, K=1), system_id, [1, 1, 1], time)
+        assert system_id.flags.writeable and time.flags.writeable
+        time[0] = 4.0
+        assert data.time.tolist() == [2.0, 9.0, 3.0]
+
     def test_failure_free_dataset_is_valid(self):
         data = make_dataset(m=5, events=[])
         assert len(data) == 0
@@ -102,6 +112,13 @@ class TestSummarize:
             math.log(T / 5.0) + math.log(T / 10.0)
         )
 
+    def test_log_ratio_finite_for_subnormal_time(self):
+        data = make_dataset(T=20.0, m=1, events=[(1, 1, 1e-320), (1, 1, 5.0)])
+        s = summarize(data)
+        expected = math.log(20.0) - math.log(1e-320) + math.log(4.0)
+        assert math.isfinite(s.log_ratio_sums[0])
+        assert s.log_ratio_sums[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 @st.composite
 def datasets(draw, edge=1e-6):
@@ -135,13 +152,16 @@ class TestSummarizeMatchesEventLoop:
         d = data.design
         n_jq = np.zeros((d.m, d.K), dtype=int)
         log_ratio = np.zeros(d.K)
+        terms = np.zeros(d.K)
         for j, q, t in zip(data.system_id.tolist(), data.cause.tolist(), data.time.tolist()):
             n_jq[j - 1, q - 1] += 1
-            log_ratio[q - 1] += math.log(d.T / t)
+            log_ratio[q - 1] += math.log(d.T) - math.log(t)
+            terms[q - 1] += abs(math.log(d.T)) + abs(math.log(t))
         s = summarize(data)
         assert np.array_equal(s.n_jq, n_jq)
         # same summation order; np.log and math.log may differ in the last ulp
-        assert np.allclose(s.log_ratio_sums, log_ratio, rtol=1e-12, atol=0.0)
+        # of log(T) or log(t), so the bound scales with those terms
+        assert np.all(np.abs(s.log_ratio_sums - log_ratio) <= 1e-12 * terms)
 
 
 class TestFileRoundTrip:
@@ -196,3 +216,129 @@ class TestFileRoundTrip:
         data = ingest(path)
         assert len(data) == 1
         assert (data.system_id[0], data.cause[0], data.time[0]) == (1, 1, 5.0)
+
+
+def reference_ingest(path, design=None):
+    """The per-line reader that the bulk parse replaced, kept as the oracle."""
+    comment_lines = []
+    system_id, cause, time = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header_idx = None
+    for i, raw in enumerate(lines):
+        if raw.startswith("#"):
+            comment_lines.append((i + 1, raw))
+        elif raw.strip():
+            header_idx = i
+            break
+    if header_idx is None:
+        raise ParseError("missing header row 'system_id,cause,time'")
+    header = [c.strip() for c in lines[header_idx].split(",")]
+    if header != ["system_id", "cause", "time"]:
+        raise ParseError(f"unexpected header {lines[header_idx]!r}", line=header_idx + 1)
+
+    if design is None:
+        meta = _parse_metadata(comment_lines)
+        missing = {"T", "m", "K"} - meta.keys()
+        if missing:
+            raise ParseError(
+                f"no design given and metadata lacks {sorted(missing)}"
+            )
+        design = ObservationDesign(T=meta["T"], m=meta["m"], K=meta["K"])
+
+    for lineno in range(header_idx + 1, len(lines)):
+        raw = lines[lineno]
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        parts = [c.strip() for c in raw.split(",")]
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 columns, got {len(parts)}", line=lineno + 1)
+        try:
+            j, t, q = int(parts[0]), float(parts[2]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno + 1) from None
+        system_id.append(j)
+        cause.append(q)
+        time.append(t)
+    return FailureDataset(design, system_id, cause, time)
+
+
+def outcome(reader, path):
+    """The dataset a reader returns, or the type (and line) of what it raises."""
+    try:
+        return reader(path)
+    except Exception as exc:  # noqa: BLE001 - any failure must match the oracle's
+        return type(exc), getattr(exc, "line", None)
+
+
+PREAMBLE = "# T=20.0\n# m=3\n# K=2\nsystem_id,cause,time\n"
+# Lines other than plain rows; each body draws rows plus a few of these kinds,
+# so that a body often holds one kind of odd line alone.
+ODD_LINES = ["", "  ", "\t", "# note", "#1,1,2.0", " # indented", "1,1", "1,1,2.0,3", "1,1,2.0 # c"]
+TOKENS = ["x", "", "0", "4", "25.0", "1.0", "1_0", "+2", "-0", "nan", "inf", "1e-320", "٣", "1" * 20]
+PADDED, TOKEN = "padded row", "row with an odd token"
+
+
+def pad(draw, text):
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "  "]))
+
+
+@st.composite
+def csv_bodies(draw):
+    """Event-file bodies: valid rows mixed with padded, blank, comment and bad lines."""
+    kinds = ["row"] + draw(
+        st.lists(st.sampled_from([PADDED, TOKEN] + ODD_LINES), max_size=2, unique=True)
+    )
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ODD_LINES:
+            lines.append(kind)
+            continue
+        fields = [
+            str(draw(st.integers(1, 3))),
+            str(draw(st.integers(1, 2))),
+            repr(draw(st.floats(0.0, 20.0, exclude_min=True, exclude_max=True))),
+        ]
+        if kind == TOKEN:
+            fields[draw(st.integers(0, 2))] = draw(st.sampled_from(TOKENS))
+        if kind != "row":
+            fields = [pad(draw, f) for f in fields]
+        lines.append(",".join(fields))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    body = end.join(lines)
+    return body + end if lines and draw(st.booleans()) else body
+
+
+class TestIngestMatchesPerLineReader:
+    @settings(max_examples=300, deadline=None)
+    @given(body=csv_bodies(), blank_before_header=st.booleans())
+    def test_same_columns_or_same_error_line(self, tmp_path_factory, body, blank_before_header):
+        path = tmp_path_factory.mktemp("oracle") / "d.csv"
+        preamble = PREAMBLE.replace("system_id", "\nsystem_id") if blank_before_header else PREAMBLE
+        path.write_bytes((preamble + body).encode("utf-8"))
+        got, want = outcome(ingest, path), outcome(reference_ingest, path)
+        if isinstance(want, FailureDataset):
+            assert isinstance(got, FailureDataset), got
+            assert got.design == want.design
+            assert same_events(got, want)
+        else:
+            assert got == want
+
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        for body in ("", "\n", "\n  \n# none\n"):
+            path.write_text(PREAMBLE + body)
+            data = ingest(path)
+            assert len(data) == 0 and data.design == ObservationDesign(T=20.0, m=3, K=2)
+            assert same_events(data, reference_ingest(path))
+
+    def test_only_newline_chars_end_a_line(self, tmp_path):
+        # Deliberate difference from str.splitlines: a form feed or a Unicode
+        # line separator inside a row is part of that row, not a line break.
+        path = tmp_path / "d.csv"
+        path.write_text(PREAMBLE + "1,1,5.0\n2,1,3.0\x0c3,2,4.0\n")
+        with pytest.raises(ParseError) as err:
+            ingest(path)
+        assert err.value.line == 6
+        assert len(reference_ingest(path)) == 3
