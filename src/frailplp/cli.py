@@ -86,9 +86,8 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _write_estimates(path, rows, fmt=None):
-    fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
-    if fmt == "json":
+def _write_estimates(path, rows):
+    if str(path).endswith(".json"):
         payload = [
             dict(parameter=r.name, mean=r.mean, sd=r.sd, ci_low=r.ci_low, ci_high=r.ci_high)
             for r in rows
@@ -162,13 +161,14 @@ def cmd_fit(args):
         raise DatasetError("dataset contains no failures; nothing to fit")
     causes = range(1, data.design.K + 1)
     duane = [duane_points(data, q) for q in causes] if args.duane_out else []
-    post = posterior(summarize(data), PriorConfig(zeta=args.zeta))
+    summary = summarize(data)
+    post = posterior(summary, PriorConfig(zeta=args.zeta))
     rows = bayes_estimates(post)
     _write_estimates(args.out, rows)
     for r in rows:
         print(f"{r.name:>8}  mean={r.mean:.3f}  sd={r.sd:.3f}  ci=[{r.ci_low:.3f}, {r.ci_high:.3f}]")
     if data.design.m == 1 and data.design.K == 1:
-        beta_hat, mu_hat = classic_mle(data)
+        beta_hat, mu_hat = classic_mle(summary)
         print(f"classic MLEs: beta_hat={beta_hat:.6f}  mu_hat={mu_hat:.6f}")
     for q, (log_t, log_n, slope) in zip(causes, duane):
         _write_matrix(
@@ -184,6 +184,7 @@ def cmd_mcmc(args):
     import os
 
     data = _read_dataset(args)
+    summary = summarize(data)
     hyper = DpmHyperparams(
         ac0=args.ac0, bc0=args.bc0, m0=args.m0, s0=args.s0, d0=args.d0, p0=args.p0
     )
@@ -200,7 +201,7 @@ def cmd_mcmc(args):
             f"need at least {GEWEKE_MIN_DRAWS} post-burn-in iterations for the Geweke check"
         )
     trace = run_chain(
-        data,
+        summary,
         hyper=hyper,
         hmc=hmc,
         iterations=args.iterations,
@@ -208,7 +209,7 @@ def cmd_mcmc(args):
         seed=args.seed,
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    m = data.design.m
+    m = summary.design.m
     _write_matrix(
         os.path.join(args.out_dir, "z_trace.csv"),
         ["iteration"] + [f"z_{j}" for j in range(1, m + 1)],
@@ -225,7 +226,7 @@ def cmd_mcmc(args):
     _write_matrix(
         os.path.join(args.out_dir, "z_hat.csv"),
         ["system", "z_hat", "n_failures"],
-        np.column_stack([z_hat, trace.n_counts.astype(float)]),
+        np.column_stack([z_hat, summary.n_j.astype(float)]),
     )
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
     dens = density_estimate(trace, grid)

@@ -120,21 +120,27 @@ class FailureDataset:
 
 @dataclass(frozen=True)
 class CountSummary:
-    """Count statistics feeding the likelihood.
+    """The sufficient statistic of a fleet, and all that inference reads.
 
     n_jq is the m-by-K matrix of per-system per-cause failure counts;
     log_ratio_sums[q-1] is the sum of log(T / t) over all cause-q failures.
     """
 
     n_jq: np.ndarray
-    n_j: np.ndarray
-    n_q: np.ndarray
     log_ratio_sums: np.ndarray
     design: ObservationDesign = field(compare=False)
 
     @property
+    def n_j(self):
+        return self.n_jq.sum(axis=1)
+
+    @property
+    def n_q(self):
+        return self.n_jq.sum(axis=0)
+
+    @property
     def n(self):
-        return int(self.n_j.sum())
+        return int(self.n_jq.sum())
 
 
 def summarize(data: FailureDataset) -> CountSummary:
@@ -143,13 +149,7 @@ def summarize(data: FailureDataset) -> CountSummary:
     cell = (data.system_id - 1) * d.K + (data.cause - 1)
     n_jq = np.bincount(cell, minlength=d.m * d.K).reshape(d.m, d.K)
     log_ratio = np.bincount(data.cause - 1, weights=np.log(d.T) - np.log(data.time), minlength=d.K)
-    return CountSummary(
-        n_jq=n_jq,
-        n_j=n_jq.sum(axis=1),
-        n_q=n_jq.sum(axis=0),
-        log_ratio_sums=log_ratio,
-        design=d,
-    )
+    return CountSummary(n_jq=n_jq, log_ratio_sums=log_ratio, design=d)
 
 
 def _parse_metadata(lines):
@@ -173,6 +173,13 @@ def _parse_metadata(lines):
     return out
 
 
+def _int64(text):
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"integer {text} does not fit in int64")
+    return value
+
+
 def _read_rows(fh, dtype, lineno):
     """Parse the rest of an open text file as comma-separated rows of `dtype`.
 
@@ -182,8 +189,8 @@ def _read_rows(fh, dtype, lineno):
     ``#`` comment, a whitespace-only line, a field that only Python's
     ``int``/``float`` accept, a malformed row, no rows at all), the rows are
     read again one line at a time: blank and ``#`` lines are skipped, fields
-    are stripped and converted with ``int``/``float``, and a bad row raises
-    `ParseError` naming its line.
+    are stripped and converted with ``int``/``float``, and a bad row (an
+    integer beyond int64 included) raises `ParseError` naming its line.
     """
     start = fh.tell()
     try:
@@ -192,7 +199,7 @@ def _read_rows(fh, dtype, lineno):
             return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         fh.seek(start)
-    convert = [int if dtype[name].kind == "i" else float for name in dtype.names]
+    convert = [_int64 if dtype[name].kind == "i" else float for name in dtype.names]
     rows = []
     for lineno, raw in enumerate(fh, start=lineno):
         if not raw.strip() or raw.startswith("#"):
@@ -216,10 +223,11 @@ def ingest(path, design: ObservationDesign | None = None) -> FailureDataset:
     Leading comment lines ``# T=.. / # m=.. / # K=..`` supply the design;
     an explicit `design` argument overrides them.  The header row must be
     ``system_id,cause,time``; each following row is one failure (see
-    `_read_rows` for what else the body may hold).
+    `_read_rows` for what else the body may hold).  Bytes that are not UTF-8
+    are kept as lone surrogates, so the line that holds them fails to parse.
     """
     comment_lines = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lineno = 0
         for raw in iter(fh.readline, ""):
             lineno += 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FailureDataset, CountSummary, summarize
+from .data import CountSummary
 from .hmc import HmcConfig, DualAveraging, _sticks, log_target_z, hmc_update
 
 __all__ = [
@@ -231,7 +231,11 @@ def update_allocations(state: DpmState, rng):
 
 @dataclass
 class McmcTrace:
-    """Iteration-indexed sampler output (includes burn-in; see burn_in index)."""
+    """Iteration-indexed sampler output (includes burn-in; see burn_in index).
+
+    mixtures holds one (rho, mu, tau) state per post-burn-in sweep; the
+    concentration of every sweep is in c.
+    """
 
     z: np.ndarray
     var_z: np.ndarray
@@ -242,7 +246,6 @@ class McmcTrace:
     mixtures: list
     burn_in: int
     divergences: int = 0
-    n_counts: np.ndarray | None = None
 
     @property
     def iterations(self):
@@ -261,10 +264,11 @@ class McmcTrace:
         return float(self.accepted[self.burn_in :].mean())
 
 
-def _init_state(m, hyper, rng, init_levels=3):
-    nu = rng.beta(1.0, 1.0 + np.zeros(init_levels))
-    atoms = [_draw_atom(hyper, rng) for _ in range(init_levels)]
-    state = DpmState(
+def _init_state(m, hyper, rng):
+    """Three prior levels, every system on the first, all frailties one."""
+    nu = rng.beta(1.0, np.ones(3))
+    atoms = [_draw_atom(hyper, rng) for _ in range(nu.size)]
+    return DpmState(
         c=1.0,
         nu=nu,
         mu=np.array([a[0] for a in atoms]),
@@ -273,11 +277,10 @@ def _init_state(m, hyper, rng, init_levels=3):
         y=np.zeros(m, dtype=int),
         z_star=np.zeros(m - 1),
     )
-    return state
 
 
 def run_chain(
-    data: FailureDataset | CountSummary,
+    summary: CountSummary,
     hyper: DpmHyperparams = DpmHyperparams(),
     hmc: HmcConfig | None = None,
     iterations: int = 10_000,
@@ -293,7 +296,6 @@ def run_chain(
     """
     if iterations <= burn_in:
         raise ValueError("iterations must exceed burn_in")
-    summary = data if isinstance(data, CountSummary) else summarize(data)
     m = summary.design.m
     if m < 2:
         raise ValueError("frailty estimation needs at least two systems")
@@ -348,7 +350,7 @@ def run_chain(
         accepted[it] = acc
         step_sizes[it] = step
         if it >= burn_in:
-            mixtures.append((state.rho.copy(), state.mu.copy(), state.tau.copy(), state.c))
+            mixtures.append((state.rho.copy(), state.mu.copy(), state.tau.copy()))
 
     return McmcTrace(
         z=z_draws,
@@ -360,12 +362,14 @@ def run_chain(
         mixtures=mixtures,
         burn_in=burn_in,
         divergences=divergences,
-        n_counts=summary.n_j.copy(),
     )
 
 
-def log_frailty_density(grid, rho, mu, tau, leftover_mass=0.0):
-    """Mixture-of-log-normals density on a positive grid for one state."""
+def log_frailty_density(grid, rho, mu, tau):
+    """Mixture-of-log-normals density on a positive grid for one state.
+
+    The weights are divided by their sum, the state's instantiated stick mass.
+    """
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0):
         raise ValueError("grid must be positive")
@@ -378,24 +382,16 @@ def log_frailty_density(grid, rho, mu, tau, leftover_mass=0.0):
             / grid
             * np.exp(-0.5 * tau_l * (logz - mu_l) ** 2)
         )
-    return dens * (1.0 / (1.0 - leftover_mass) if leftover_mass else 1.0)
+    return dens / np.sum(rho)
 
 
-def density_estimate(trace_or_state, grid):
-    """Posterior frailty density on a grid, averaged over post-burn-in states.
-
-    Each stored mixture is renormalized by its instantiated stick mass so the
-    truncation does not leak probability.
-    """
+def density_estimate(trace: McmcTrace, grid):
+    """Posterior frailty density on a grid, averaged over post-burn-in states."""
     grid = np.asarray(grid, dtype=float)
-    if isinstance(trace_or_state, McmcTrace):
-        states = trace_or_state.mixtures
-        total = np.zeros_like(grid)
-        for rho, mu, tau, _c in states:
-            total += log_frailty_density(grid, rho, mu, tau, leftover_mass=1.0 - rho.sum())
-        return total / len(states)
-    rho, mu, tau = trace_or_state[:3]
-    return log_frailty_density(grid, rho, mu, tau, leftover_mass=1.0 - np.sum(rho))
+    total = np.zeros_like(grid)
+    for rho, mu, tau in trace.mixtures:
+        total += log_frailty_density(grid, rho, mu, tau)
+    return total / len(trace.mixtures)
 
 
 @dataclass(frozen=True)
@@ -437,7 +433,7 @@ def mixture_variance(trace: McmcTrace) -> VarianceSummary:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         vals = []
-        for rho, mu, tau, _c in trace.mixtures:
+        for rho, mu, tau in trace.mixtures:
             norm = rho.sum()
             first = np.sum(rho * np.exp(mu + 0.5 / tau)) / norm
             second = np.sum(rho * np.exp(2.0 * mu + 2.0 / tau)) / norm

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FailureDataset, CountSummary, DatasetError, summarize
+from .data import FailureDataset, CountSummary, DatasetError
 
 __all__ = [
     "PlpParams",
@@ -338,14 +338,14 @@ def mean_function(params: PlpParams, cause: int, z=1.0):
     return z * params.alpha[cause - 1]
 
 
-def log_likelihood(params: PlpParams, z, data: FailureDataset):
+def log_likelihood(params: PlpParams, z, summary: CountSummary):
     """Joint log-likelihood of all systems given frailties z (length m).
 
-    Works entirely in log space; the per-event factor is
-    log z_j + log beta_q + log alpha_q + (beta_q - 1) log t - beta_q log T
-    and each system contributes the exposure term -z_j * sum_q alpha_q.
+    A cause-q failure of system j at time t adds log z_j - (beta_q - 1) log(T / t)
+    + log(beta_q alpha_q / T) and each system the exposure -z_j * sum_q alpha_q,
+    so the times enter the exact total only through the log-ratio sums S_q.
     """
-    d = data.design
+    d = summary.design
     z = np.asarray(z, dtype=float)
     if z.shape != (d.m,):
         raise ValueError(f"frailty vector must have length m={d.m}")
@@ -354,58 +354,52 @@ def log_likelihood(params: PlpParams, z, data: FailureDataset):
     if np.any(z <= 0):
         raise ValueError("frailties must be positive")
     exposure = float(z.sum() * params.alpha.sum())
-    q = data.cause - 1
-    beta = params.beta[q]
-    per_event = (
-        np.log(z)[data.system_id - 1]
-        + np.log(params.beta)[q]
-        + np.log(params.alpha)[q]
-        + (beta - 1.0) * np.log(data.time)
-        - beta * math.log(d.T)
+    per_cause = (
+        summary.n_q * np.log(params.beta * params.alpha / d.T)
+        - (params.beta - 1.0) * summary.log_ratio_sums
     )
-    return float(per_event.sum()) - exposure
+    return float(summary.n_j @ np.log(z)) + float(per_cause.sum()) - exposure
 
 
-def mle(data: FailureDataset | CountSummary) -> np.ndarray:
+def mle(summary: CountSummary) -> np.ndarray:
     """Per-cause MLE beta_hat_q = n_q / sum log(T / t) over cause-q failures."""
-    s = data if isinstance(data, CountSummary) else summarize(data)
-    if np.any(s.n_q == 0):
-        bad = int(np.flatnonzero(s.n_q == 0)[0]) + 1
+    n_q = summary.n_q
+    if np.any(n_q == 0):
+        bad = int(np.flatnonzero(n_q == 0)[0]) + 1
         raise ImproperPosteriorError(f"cause {bad} has no failures; its MLE is undefined")
-    return s.n_q / s.log_ratio_sums
+    return n_q / summary.log_ratio_sums
 
 
-def classic_mle(data: FailureDataset):
+def classic_mle(summary: CountSummary):
     """Single-system, single-cause MLEs (beta_hat, mu_hat)."""
-    d = data.design
+    d = summary.design
     if not (d.m == 1 and d.K == 1):
         raise ValueError("classic MLEs apply only to m=1, K=1")
-    beta_hat = float(mle(data)[0])
-    n = len(data)
-    mu_hat = d.T / n ** (1.0 / beta_hat)
+    beta_hat = float(mle(summary)[0])
+    mu_hat = d.T / summary.n ** (1.0 / beta_hat)
     return beta_hat, mu_hat
 
 
-def posterior(data: FailureDataset | CountSummary, prior: PriorConfig = PriorConfig()) -> PlpPosterior:
+def posterior(summary: CountSummary, prior: PriorConfig = PriorConfig()) -> PlpPosterior:
     """Closed-form marginal posteriors.
 
     beta_q ~ Gamma(n_q + 1 - zeta, rate n_q / beta_hat_q) and
     alpha_q ~ Gamma(n_q, rate m), independent across all 2K marginals.
     """
-    s = data if isinstance(data, CountSummary) else summarize(data)
-    m = s.design.m
+    n_q = summary.n_q
+    m = summary.design.m
     zeta = prior.zeta
-    for q in range(s.design.K):
-        if s.n_q[q] <= zeta - 1.0:
+    for q in range(summary.design.K):
+        if n_q[q] <= zeta - 1.0:
             raise ImproperPosteriorError(
-                f"cause {q + 1}: n_q={s.n_q[q]} <= zeta-1={zeta - 1}; posterior improper"
+                f"cause {q + 1}: n_q={n_q[q]} <= zeta-1={zeta - 1}; posterior improper"
             )
-    beta_hat = s.n_q / s.log_ratio_sums
+    beta_hat = n_q / summary.log_ratio_sums
     betas = tuple(
         GammaMarginal(shape=float(nq + 1.0 - zeta), rate=float(nq / bh))
-        for nq, bh in zip(s.n_q, beta_hat)
+        for nq, bh in zip(n_q, beta_hat)
     )
-    alphas = tuple(GammaMarginal(shape=float(nq), rate=float(m)) for nq in s.n_q)
+    alphas = tuple(GammaMarginal(shape=float(nq), rate=float(m)) for nq in n_q)
     return PlpPosterior(beta_marginals=betas, alpha_marginals=alphas, zeta=zeta)
 
 

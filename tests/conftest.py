@@ -46,8 +46,6 @@ def warranty_summary():
             n_jq[j, q] += 1
     return CountSummary(
         n_jq=n_jq,
-        n_j=n_jq.sum(axis=1),
-        n_q=n_jq.sum(axis=0),
         log_ratio_sums=np.array([150.0, 160.0, 200.0]),
         design=ObservationDesign(T=3000.0, m=m, K=3),
     )

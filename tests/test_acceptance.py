@@ -13,7 +13,7 @@ from scipy.special import betaln
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import poisson
 
-from frailplp.data import ObservationDesign, CountSummary
+from frailplp.data import ObservationDesign, CountSummary, summarize
 from frailplp.plp import PlpParams, PriorConfig, posterior
 from frailplp.simulate import SimScenario, FrailtyMixture, simulate
 from frailplp.hmc import (
@@ -53,8 +53,6 @@ class TestCriterion1ClosedFormExactness:
         n_jq[: counts[2], 2] = 1
         return CountSummary(
             n_jq=n_jq,
-            n_j=n_jq.sum(axis=1),
-            n_q=n_jq.sum(axis=0),
             log_ratio_sums=np.array([150.0, 160.0, 200.0]),
             design=ObservationDesign(T=3000.0, m=m, K=3),
         )
@@ -97,8 +95,6 @@ class TestCriterion2FormatSupport:
         n_jq = rng.poisson(0.25, size=(439, 3))
         summary = CountSummary(
             n_jq=n_jq,
-            n_j=n_jq.sum(axis=1),
-            n_q=n_jq.sum(axis=0),
             log_ratio_sums=rng.uniform(100.0, 300.0, size=3),
             design=ObservationDesign(T=3000.0, m=439, K=3),
         )
@@ -119,7 +115,7 @@ class TestCriterion2FormatSupport:
             normalize_frailties=True,
         )
         data, z = simulate(scen)
-        trace = run_chain(data, iterations=1200, burn_in=600, seed=3)
+        trace = run_chain(summarize(data), iterations=1200, burn_in=600, seed=3)
         vz = frailty_variance(trace.post_burn_in(trace.var_z))
         truth = float(np.sum((z - 1) ** 2) / (z.size - 1))
         ok = vz.ci_low < truth < vz.ci_high and vz.mean > 0.5
@@ -325,7 +321,7 @@ class TestCriterion7FrailtyVarianceRecovery:
             normalize_frailties=True,
         )
         data, z = simulate(scen)
-        trace = run_chain(data, iterations=10_000, burn_in=5_000, seed=9)
+        trace = run_chain(summarize(data), iterations=10_000, burn_in=5_000, seed=9)
         chain = trace.post_burn_in(trace.var_z)
         vz = frailty_variance(chain)
         gw = geweke(chain)
@@ -355,7 +351,7 @@ class TestCriterion8NonparametricFlexibility:
             normalize_frailties=True,
         )
         data, z = simulate(scen)
-        trace = run_chain(data, iterations=3_000, burn_in=1_500, seed=2)
+        trace = run_chain(summarize(data), iterations=3_000, burn_in=1_500, seed=2)
         grid = np.linspace(0.05, 3.5, 300)
         dens = density_estimate(trace, grid)
         interior = (

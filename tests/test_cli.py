@@ -125,6 +125,19 @@ class TestFit:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "nope.csv")) == EXIT_DATA
 
+    def test_integer_beyond_int64_is_data_error_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("# T=20.0\n# m=3\n# K=1\nsystem_id,cause,time\n"
+                        "1,1,2.0\n99999999999999999999,1,3.0\n")
+        assert run("fit", "--data", str(path), "--out", str(tmp_path / "e.csv")) == EXIT_DATA
+        assert "data error: line 6:" in capsys.readouterr().err
+
+    def test_file_not_utf8_is_data_error_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# T=20.0\n# m=3\n# K=1\nsystem_id,cause,time\n1,1,2.0\n2,1,3.\xff0\n")
+        assert run("fit", "--data", str(path), "--out", str(tmp_path / "e.csv")) == EXIT_DATA
+        assert "data error: line 6:" in capsys.readouterr().err
+
     def test_propriety_violation_is_numerical_error(self, tmp_path):
         path = tmp_path / "one.csv"
         write_dataset(path, make_dataset(m=2, events=[(1, 1, 5.0)]))
@@ -204,6 +217,11 @@ class TestMcmc:
         z_hat = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert z_hat.size == 30
         assert z_hat.mean() == pytest.approx(1.0, abs=1e-10)
+
+    def test_failure_counts_are_the_fleet_counts(self, mcmc_out):
+        fleet = ingest(mcmc_out.parent / "fleet.csv")
+        table = np.loadtxt(mcmc_out / "z_hat.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 2], np.bincount(fleet.system_id - 1, minlength=30))
 
     def test_summary_contents(self, mcmc_out):
         summary = json.loads((mcmc_out / "summary.json").read_text())

@@ -257,6 +257,8 @@ def reference_ingest(path, design=None):
             j, t, q = int(parts[0]), float(parts[2]), int(parts[1])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno + 1) from None
+        if not (-(2**63) <= j < 2**63 and -(2**63) <= q < 2**63):
+            raise ParseError("integer beyond int64", line=lineno + 1)
         system_id.append(j)
         cause.append(q)
         time.append(t)

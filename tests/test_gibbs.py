@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import betaln
 from scipy.stats import chisquare
 
-from frailplp.data import ObservationDesign
+from frailplp.data import ObservationDesign, summarize
 from frailplp.plp import PlpParams
 from frailplp.simulate import SimScenario, simulate
 from frailplp.hmc import inverse_transform, transform
@@ -79,7 +79,7 @@ class TestDerivedFrailties:
                 seed=0,
             )
         )
-        run_chain(data, iterations=30, burn_in=10, seed=0)
+        run_chain(summarize(data), iterations=30, burn_in=10, seed=0)
         assert len(calls) == 1 + 30  # initial state, then one per sweep
 
 
@@ -360,7 +360,7 @@ class TestChain:
             normalize_frailties=True,
         )
         data, z = simulate(scen)
-        return run_chain(data, iterations=1500, burn_in=500, seed=5), z
+        return run_chain(summarize(data), iterations=1500, burn_in=500, seed=5), z
 
     def test_frailty_mean_constraint_every_iteration(self, trace):
         tr, _ = trace
@@ -386,7 +386,6 @@ class TestChain:
         assert tr.z.shape == (1500, 50)
         assert tr.var_z.shape == tr.c.shape == (1500,)
         assert len(tr.mixtures) == 1000
-        assert tr.n_counts.shape == (50,)
 
     def test_reproducible(self, trace):
         scen = SimScenario(
@@ -397,7 +396,7 @@ class TestChain:
             normalize_frailties=True,
         )
         data, _ = simulate(scen)
-        again = run_chain(data, iterations=1500, burn_in=500, seed=5)
+        again = run_chain(summarize(data), iterations=1500, burn_in=500, seed=5)
         assert np.array_equal(again.z, trace[0].z)
 
     def test_rejects_bad_lengths(self, trace):
@@ -409,7 +408,7 @@ class TestChain:
             )
         )
         with pytest.raises(ValueError):
-            run_chain(scen_data, iterations=100, burn_in=200, seed=0)
+            run_chain(summarize(scen_data), iterations=100, burn_in=200, seed=0)
 
     def test_needs_two_systems(self):
         data, _ = simulate(
@@ -420,7 +419,7 @@ class TestChain:
             )
         )
         with pytest.raises(ValueError):
-            run_chain(data, iterations=10, burn_in=5, seed=0)
+            run_chain(summarize(data), iterations=10, burn_in=5, seed=0)
 
 
 class TestDensity:
@@ -448,8 +447,16 @@ class TestDensity:
     def test_estimate_renormalizes_truncated_mass(self):
         # a state covering only half the stick mass must still integrate to 1
         grid = np.linspace(1e-4, 400.0, 200_001)
-        dens = density_estimate(([0.5], [0.0], [1.0]), grid)
+        dens = log_frailty_density(grid, [0.5], [0.0], [1.0])
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-5)
+
+    def test_estimate_averages_the_stored_states(self):
+        grid = np.linspace(0.1, 3.0, 50)
+        one = (np.array([0.5]), np.array([0.0]), np.array([1.0]))
+        two = (np.array([0.3, 0.6]), np.array([-0.5, 0.4]), np.array([4.0, 2.0]))
+        dens = density_estimate(SimpleNamespace(mixtures=[one, two]), grid)
+        expected = (log_frailty_density(grid, *one) + log_frailty_density(grid, *two)) / 2
+        assert np.allclose(dens, expected, rtol=1e-14, atol=0.0)
 
 
 class TestVarianceSummaries:
@@ -473,7 +480,7 @@ class TestVarianceSummaries:
             normalize_frailties=True,
         )
         data, _ = simulate(scen)
-        tr = run_chain(data, iterations=800, burn_in=400, seed=1)
+        tr = run_chain(summarize(data), iterations=800, burn_in=400, seed=1)
         mv = mixture_variance(tr)
         assert mv.ci_low > 0.0
 
@@ -481,8 +488,8 @@ class TestVarianceSummaries:
     def test_mixture_state_beyond_float_range_leaves_interval_exact(self):
         # a standard log-normal atom has variance e (e - 1); one state with
         # tau = 1e-3 has a variance near exp(2000), beyond the float range
-        state = (np.array([1.0]), np.array([0.0]), np.array([1.0]), 1.0)
-        huge = (np.array([1.0]), np.array([0.0]), np.array([1e-3]), 1.0)
+        state = (np.array([1.0]), np.array([0.0]), np.array([1.0]))
+        huge = (np.array([1.0]), np.array([0.0]), np.array([1e-3]))
         mv = mixture_variance(SimpleNamespace(mixtures=[state] * 100 + [huge]))
         assert mv.ci_low == mv.ci_high == pytest.approx(math.e * (math.e - 1.0), rel=1e-12)
         assert mv.mean == math.inf

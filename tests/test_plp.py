@@ -105,7 +105,7 @@ class TestLogLikelihood:
         )
         params = PlpParams(beta=np.array([1.3, 0.8]), alpha=np.array([2.0, 1.5]))
         z = np.array([0.5, 1.0, 2.2])
-        assert log_likelihood(params, z, data) == pytest.approx(
+        assert log_likelihood(params, z, summarize(data)) == pytest.approx(
             self._oracle(params, z, data), rel=1e-8
         )
 
@@ -113,7 +113,7 @@ class TestLogLikelihood:
         data = make_dataset(T=20.0, m=2, K=1, events=[(1, 1, 3.0), (2, 1, 11.0)])
         params = PlpParams(beta=np.array([0.9]), alpha=np.array([4.0]))
         ones = np.ones(2)
-        assert log_likelihood(params, ones, data) == pytest.approx(
+        assert log_likelihood(params, ones, summarize(data)) == pytest.approx(
             self._oracle(params, ones, data), rel=1e-8
         )
 
@@ -128,39 +128,37 @@ class TestLogLikelihood:
         expected_shift = float(
             np.sum(s.n_j * np.log(z)) - (z.sum() - 3) * params.alpha.sum()
         )
-        shift = log_likelihood(params, z, data) - log_likelihood(
-            params, np.ones(3), data
-        )
+        shift = log_likelihood(params, z, s) - log_likelihood(params, np.ones(3), s)
         assert shift == pytest.approx(expected_shift, rel=1e-10)
 
     def test_dimension_checks(self):
-        data = make_dataset(T=20.0, m=2, K=1, events=[(1, 1, 3.0)])
+        s = summarize(make_dataset(T=20.0, m=2, K=1, events=[(1, 1, 3.0)]))
         params = PlpParams(beta=np.array([0.9]), alpha=np.array([4.0]))
         with pytest.raises(ValueError):
-            log_likelihood(params, np.ones(3), data)
+            log_likelihood(params, np.ones(3), s)
         with pytest.raises(ValueError):
-            log_likelihood(params, np.array([1.0, -1.0]), data)
+            log_likelihood(params, np.array([1.0, -1.0]), s)
         two_cause = PlpParams(beta=np.array([0.9, 1.0]), alpha=np.array([4.0, 1.0]))
         with pytest.raises(ValueError):
-            log_likelihood(two_cause, np.ones(2), data)
+            log_likelihood(two_cause, np.ones(2), s)
 
 
 class TestMle:
     def test_single_record_at_t_over_e(self):
         T = 20.0
         data = make_dataset(T=T, m=1, events=[(1, 1, T / math.e)])
-        assert mle(data)[0] == pytest.approx(1.0)
+        assert mle(summarize(data))[0] == pytest.approx(1.0)
 
     def test_two_records_at_exp_minus_two(self):
         T = 20.0
         t = T * math.exp(-2.0)
         data = make_dataset(T=T, m=1, events=[(1, 1, t), (1, 1, t * (1 + 1e-12))])
-        assert mle(data)[0] == pytest.approx(0.5, rel=1e-9)
+        assert mle(summarize(data))[0] == pytest.approx(0.5, rel=1e-9)
 
     def test_cause_without_failures_raises(self):
         data = make_dataset(T=20.0, m=1, K=2, events=[(1, 1, 5.0)])
         with pytest.raises(ImproperPosteriorError):
-            mle(data)
+            mle(summarize(data))
 
     def test_consistency_on_large_sample(self):
         scen = SimScenario(
@@ -170,7 +168,7 @@ class TestMle:
             seed=1,
         )
         data, _ = simulate(scen)
-        est = mle(data)
+        est = mle(summarize(data))
         assert est == pytest.approx([1.2, 0.7], rel=0.05)
 
     def test_classic_single_system_estimates(self):
@@ -180,14 +178,14 @@ class TestMle:
             T=T, m=1, events=[(1, 1, T / math.e), (1, 1, T * math.exp(-0.5)),
                               (1, 1, T * math.exp(-1.5))]
         )
-        beta_hat, mu_hat = classic_mle(data)
+        beta_hat, mu_hat = classic_mle(summarize(data))
         assert beta_hat == pytest.approx(1.0)
         assert mu_hat == pytest.approx(T / 3.0)
 
     def test_classic_requires_single_system_single_cause(self):
         data = make_dataset(T=20.0, m=2, events=[(1, 1, 5.0)])
         with pytest.raises(ValueError):
-            classic_mle(data)
+            classic_mle(summarize(data))
 
 
 class TestGammaMarginal:
@@ -302,7 +300,7 @@ class TestPosterior:
             T=20.0, m=4, K=1, events=[(1, 1, 2.0), (1, 1, 9.0), (2, 1, 14.0)]
         )
         s = summarize(data)
-        post = posterior(data, PriorConfig(zeta=2.0))
+        post = posterior(s, PriorConfig(zeta=2.0))
         beta_hat = s.n_q[0] / s.log_ratio_sums[0]
         bm = post.beta_marginals[0]
         assert bm.shape == pytest.approx(s.n_q[0] + 1.0 - 2.0)
@@ -327,22 +325,22 @@ class TestPosterior:
 
     def test_propriety_boundary(self):
         # one failure for a cause is not enough under zeta = 2
-        data = make_dataset(T=20.0, m=2, K=1, events=[(1, 1, 5.0)])
+        s = summarize(make_dataset(T=20.0, m=2, K=1, events=[(1, 1, 5.0)]))
         with pytest.raises(ImproperPosteriorError):
-            posterior(data, PriorConfig(zeta=2.0))
+            posterior(s, PriorConfig(zeta=2.0))
         # but is proper under a flatter prior
-        post = posterior(data, PriorConfig(zeta=0.0))
+        post = posterior(s, PriorConfig(zeta=0.0))
         assert post.beta_marginals[0].shape == pytest.approx(2.0)
 
     def test_point_mean_shrinkage_factor(self):
         # posterior mean of the elasticity is ((n_q + 1 - zeta) / n_q) * MLE
-        data = make_dataset(
+        s = summarize(make_dataset(
             T=20.0, m=1, K=1,
             events=[(1, 1, 1.0), (1, 1, 3.0), (1, 1, 7.0), (1, 1, 15.0)],
-        )
-        beta_hat = mle(data)[0]
+        ))
+        beta_hat = mle(s)[0]
         for zeta in (0.0, 1.0, 2.0):
-            post = posterior(data, PriorConfig(zeta=zeta))
+            post = posterior(s, PriorConfig(zeta=zeta))
             assert post.beta_marginals[0].mean == pytest.approx(
                 (4 + 1 - zeta) / 4 * beta_hat
             )
