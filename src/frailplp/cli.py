@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -86,6 +87,19 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """A missing or unreadable input is a data error (exit 3).
+
+    Any other OSError reaching main comes from opening an output, which is
+    a config error (exit 2).
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _write_estimates(path, rows):
     if str(path).endswith(".json"):
         payload = [
@@ -152,7 +166,8 @@ def _read_dataset(args):
         if None in (args.T, args.m, args.K):
             raise ConfigError("design overrides need all of --T, --m, --K")
         design = ObservationDesign(T=args.T, m=args.m, K=args.K)
-    return ingest(args.data, design)
+    with _reading(args.data):
+        return ingest(args.data, design)
 
 
 def cmd_fit(args):
@@ -266,7 +281,8 @@ def cmd_mcmc(args):
 
 
 def cmd_diagnose(args):
-    values = np.loadtxt(args.trace, delimiter=",", skiprows=1, usecols=args.column)
+    with _reading(args.trace):
+        values = np.loadtxt(args.trace, delimiter=",", skiprows=1, usecols=args.column)
     gw = geweke(values, first_frac=args.first_frac, last_frac=args.last_frac)
     acf = autocorrelation(values, args.max_lag)
     result = dict(
@@ -426,9 +442,10 @@ def main(argv=None):
     except DatasetError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except OSError as exc:
+        target = exc.filename or "output"
+        print(f"config error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ImproperPosteriorError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CountSummary
-from .hmc import HmcConfig, DualAveraging, _sticks, log_target_z, hmc_update
+from .hmc import HmcConfig, DualAveraging, _frailty_target, _sticks, hmc_update
 
 __all__ = [
     "DpmHyperparams",
@@ -89,12 +89,17 @@ class DpmState:
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         if name == "z_star":
-            w = _sticks(value)[2]
+            w = _sticks(value)[1]
             super().__setattr__("w", w)
             super().__setattr__("z", np.exp(w))
 
     def level_counts(self):
         return np.bincount(self.y, minlength=self.l_star)
+
+    @property
+    def n_occupied(self):
+        """Number of levels with at least one system allocated."""
+        return int(np.count_nonzero(self.level_counts()))
 
 
 def stick_break(nu):
@@ -125,7 +130,7 @@ def update_concentration(state: DpmState, m: int, hyper: DpmHyperparams, rng):
     landing on a high empty level inflates c, which spawns more levels and
     feeds back.
     """
-    y_star = int(np.unique(state.y).size)
+    y_star = state.n_occupied
     xi = rng.beta(state.c + 1.0, m)
     rate = hyper.bc0 - math.log(xi)
     shape_hi = hyper.ac0 + y_star
@@ -325,14 +330,9 @@ def run_chain(
         update_atoms(state, hyper, rng)
         update_allocations(state, rng)
 
-        mu_y = state.mu[state.y]
-        tau_y = state.tau[state.y]
-
-        def logp_grad(q):
-            return log_target_z(q, n_j, mu_y, tau_y)
-
+        logp_grad, grad = _frailty_target(n_j, state.mu[state.y], state.tau[state.y])
         state.z_star, acc, divergent, accept_prob = hmc_update(
-            state.z_star, logp_grad, hmc, rng, step_size=step
+            state.z_star, logp_grad, grad, hmc, rng, step_size=step
         )
         if divergent:
             divergences += 1
@@ -346,7 +346,7 @@ def run_chain(
         z_draws[it] = z
         var_z[it] = float(np.sum((z - 1.0) ** 2) / (m - 1))
         c_draws[it] = state.c
-        n_clusters[it] = np.unique(state.y).size
+        n_clusters[it] = state.n_occupied
         accepted[it] = acc
         step_sizes[it] = step
         if it >= burn_in:

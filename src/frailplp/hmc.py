@@ -8,14 +8,27 @@ the map so z* = 0 gives Z = (1, ..., 1).  HMC runs on z* with the
 log-Jacobian folded into the target.
 
 With x = z* - offset, one softplus sp = log1p(exp(-|x|)) gives both
-log B = min(x, 0) - sp and log(1 - B) = -max(x, 0) - sp without overflow,
-and log |J| = sum_j log A_j over all m sticks.  Because h_k + tail_{k+1} =
-tail_k, where tail_k sums the per-system derivatives h_j for j >= k, the
-gradient folds to (1 + h_k) - B_k (m - k + 1 + tail_k).
+log B = min(x, 0) - sp and log(1 - B) = -max(x, 0) - sp without overflow.
+One cumsum of the log(1 - B), seeded with log m, plus log B gives the
+log-frailties w = log Z, and log |J| = sum_j log A_j = sum(w) - m log m.
+The offsets and log m depend only on m and are computed once per m.
+
+With g_j = (n_j + tau_j mu_j) - tau_j w_j, which is 1 plus the derivative of
+system j's term in w_j, and T_k = sum_{j>=k} g_j, the stick-breaking chain
+rule gives dL/dz*_k = g_k - B_k T_k for k = 1..m-1: T_k holds both the
+m - k + 1 and the tail sum of the derivatives.  n_j + tau_j mu_j is fixed
+while the allocations are.
+
+A leapfrog trajectory needs the log density only where the Hamiltonian is
+evaluated, at its start and end points (Neal, "MCMC using Hamiltonian
+dynamics", Handbook of MCMC, 2011, section 5.2).  log_target_z returns the
+density with the gradient there; the interior steps call the gradient-only
+_gradient.  Both are built on the one forward pass _sticks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,28 +64,53 @@ class HmcConfig:
             raise ValueError("step jitter must lie in [0, 1)")
 
 
+@functools.lru_cache(maxsize=8)
+def _offsets(m):
+    """The stick offsets log(m - 1), ..., log 1 (read-only) and log m."""
+    offset = np.log(np.arange(m - 1, 0, -1, dtype=float))
+    offset.flags.writeable = False
+    return offset, math.log(m)
+
+
 def _sticks(z_star):
-    """Shared forward pass: (m, m-1, ..., 1), log B, the log-frailties w, log |J|."""
+    """Shared forward pass: log B (length m-1) and the log-frailties w (length m)."""
     z_star = np.asarray(z_star, dtype=float)
     m = z_star.size + 1
-    r = np.arange(m, 0, -1, dtype=float)
-    x = z_star - np.log(r[1:])
-    sp = np.log1p(np.exp(-np.abs(x)))
-    log_b = np.minimum(x, 0.0) - sp
-    # w[j] = log prod_{o<j}(1 - B_o) (w[0] is the empty product), then log A, then log Z
+    offset, log_m = _offsets(m)
+    x = z_star - offset
+    sp = np.abs(x)
+    np.negative(sp, out=sp)
+    np.exp(sp, out=sp)
+    np.log1p(sp, out=sp)
+    log_b = np.minimum(x, 0.0)
+    log_b -= sp
+    # w[j] = log m + log prod_{o<j}(1 - B_o) (w[0] is the empty product);
+    # adding log B to all but the last turns it into log Z
     w = np.empty(m)
-    w[0] = 0.0
-    (-np.maximum(x, 0.0) - sp).cumsum(out=w[1:])
+    w[0] = log_m
+    log_1mb = w[1:]
+    np.maximum(x, 0.0, out=log_1mb)
+    log_1mb += sp
+    np.negative(log_1mb, out=log_1mb)
+    w.cumsum(out=w)
     w[:-1] += log_b
-    log_jac = float(w.sum())
-    w += math.log(m)
-    return r, log_b, w, log_jac
+    return log_b, w
+
+
+def _fold(log_b, w, ntm, tau_y):
+    """The gradient g[:-1] - B T[:-1] from one forward pass; overwrites log_b."""
+    g = tau_y * w
+    np.subtract(ntm, g, out=g)
+    t = g[::-1].cumsum()[::-1]
+    b = np.exp(log_b, out=log_b)
+    b *= t[:-1]
+    return np.subtract(g[:-1], b, out=b)
 
 
 def transform(z_star):
     """Map unconstrained z* to (Z, log |Jacobian|); mean(Z) = 1 by construction."""
-    _, _, w, log_jac = _sticks(z_star)
-    return np.exp(w), log_jac
+    _, w = _sticks(z_star)
+    return np.exp(w), float(w.sum()) - w.size * math.log(w.size)
 
 
 def inverse_transform(z):
@@ -92,8 +130,7 @@ def inverse_transform(z):
     b = a[:-1] / rem[:-1]
     if np.any(b >= 1.0) or np.any(b <= 0.0):
         raise ValueError("frailty vector is not an interior simplex point")
-    offset = np.log(np.arange(m - 1, 0, -1, dtype=float))
-    return np.log(b) - np.log1p(-b) + offset
+    return np.log(b) - np.log1p(-b) + _offsets(m)[0]
 
 
 def log_target_z(z_star, n_j, mu_y, tau_y):
@@ -104,43 +141,57 @@ def log_target_z(z_star, n_j, mu_y, tau_y):
     plus the log-Jacobian.  The gradient is exact; additive constants in the
     normal densities are dropped.
     """
-    r, log_b, w, log_jac = _sticks(z_star)
-    n1 = np.asarray(n_j, dtype=float) - 1.0
+    log_b, w = _sticks(z_star)
+    m = w.size
     d = w - mu_y
-    td = tau_y * d
-    logp = log_jac + float(n1.dot(w)) - 0.5 * float(td.dot(d))
-
-    # h_j = d/dw_j of the per-system term; with tail_k = sum_{j>=k} h_j the
-    # stick-breaking chain rule gives, for k = 1..m-1,
-    #   dL/dz*_k = (1 + h_k) - B_k (m - k + 1 + tail_k)
-    h = n1 - td
-    tail = h[::-1].cumsum()[::-1]
-    grad = (1.0 + h[:-1]) - np.exp(log_b) * (r[:-1] + tail[:-1])
-    return logp, grad
+    # log |J| = sum(w) - m log m, and its sum(w) cancels the -1 of (n_j - 1) w_j
+    logp = float(w.dot(n_j)) - m * math.log(m) - 0.5 * float(d.dot(tau_y * d))
+    return logp, _fold(log_b, w, n_j + tau_y * mu_y, tau_y)
 
 
-def leapfrog(z_star, p, eps, n_steps, grad_fn, grad0):
-    """Standard leapfrog integration of Hamiltonian dynamics (identity mass).
+def _gradient(z_star, ntm, tau_y):
+    """The gradient of log_target_z alone, given ntm = n_j + tau_y * mu_y."""
+    log_b, w = _sticks(z_star)
+    return _fold(log_b, w, ntm, tau_y)
 
-    grad0 is the gradient at z_star, which the caller already holds, so a
-    trajectory of n_steps evaluates grad_fn n_steps times.
+
+def _frailty_target(n_j, mu_y, tau_y):
+    """The (log density and gradient, gradient alone) pair of hmc_update for
+    fixed allocations; n_j + tau_y * mu_y is computed once, not per gradient."""
+    ntm = n_j + tau_y * mu_y
+    return (
+        lambda q: log_target_z(q, n_j, mu_y, tau_y),
+        lambda q: _gradient(q, ntm, tau_y),
+    )
+
+
+def leapfrog(z_star, p, eps, n_steps, logp_grad_fn, grad_fn, grad0):
+    """Leapfrog integration of Hamiltonian dynamics (identity mass).
+
+    grad0 is the gradient at z_star, which the caller already holds.  The
+    n_steps - 1 interior points need only grad_fn; the end point, where the
+    Hamiltonian is evaluated, calls logp_grad_fn for the log density too.
+    A non-finite state is not stopped here: it carries on to the end point
+    as inf or nan.  Returns (q, p, log density at q).
     """
     q = np.array(z_star, dtype=float)
-    p = np.array(p, dtype=float) + 0.5 * eps * grad0
-    for step in range(n_steps):
-        q = q + eps * p
-        logp, grad = grad_fn(q)
-        if not np.isfinite(grad).all():
-            return q, p, -np.inf, False
-        p = p + (eps if step < n_steps - 1 else 0.5 * eps) * grad
-    return q, p, logp, True
+    p = p + 0.5 * eps * grad0
+    for _ in range(n_steps - 1):
+        q += eps * p
+        p += eps * grad_fn(q)
+    q += eps * p
+    logp, grad = logp_grad_fn(q)
+    p += 0.5 * eps * grad
+    return q, p, logp
 
 
-def hmc_update(z_star, logp_grad_fn, config: HmcConfig, rng, step_size=None):
+def hmc_update(z_star, logp_grad_fn, grad_fn, config: HmcConfig, rng, step_size=None):
     """One HMC transition; returns (new z*, accepted, divergent, accept prob).
 
-    A trajectory that overflows to a non-finite state is reported as
-    divergent, so floating-point warnings along it are silenced.
+    logp_grad_fn(q) gives (log density, gradient) and is called at the start
+    and end points; grad_fn(q) gives the gradient alone.  A trajectory whose
+    end-point energy is not finite, as any overflow along it makes it, is
+    reported as divergent, so floating-point warnings along it are silenced.
     """
     eps = config.step_size if step_size is None else step_size
     if config.step_jitter > 0:
@@ -151,12 +202,12 @@ def hmc_update(z_star, logp_grad_fn, config: HmcConfig, rng, step_size=None):
     h0 = -logp0 + 0.5 * float(p0 @ p0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        q1, p1, logp1, ok = leapfrog(q0, p0, eps, config.leapfrog_steps, logp_grad_fn, grad0)
-    if not ok or not np.isfinite(logp1):
-        return q0, False, True, 0.0
-    h1 = -logp1 + 0.5 * float(p1 @ p1)
+        q1, p1, logp1 = leapfrog(
+            q0, p0, eps, config.leapfrog_steps, logp_grad_fn, grad_fn, grad0
+        )
+        h1 = -logp1 + 0.5 * float(p1 @ p1)
     delta = h0 - h1
-    if delta < -1000.0:
+    if not math.isfinite(h1) or delta < -1000.0:
         return q0, False, True, 0.0
     accept_prob = min(1.0, math.exp(min(0.0, delta)))
     if rng.uniform() < accept_prob:

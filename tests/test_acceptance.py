@@ -22,7 +22,7 @@ from frailplp.hmc import (
     transform,
     inverse_transform,
     hmc_update,
-    log_target_z,
+    _frailty_target,
 )
 from frailplp.dpm import (
     DpmHyperparams,
@@ -260,7 +260,7 @@ class TestCriterion6SamplerOracles:
         burn, iters = 2000, 14000
         for it in range(iters):
             q, _, _, accept_prob = hmc_update(
-                q, lambda x: log_target_z(x, n_j, mu, tau), cfg, rng, step_size=step
+                q, *_frailty_target(n_j, mu, tau), cfg, rng, step_size=step
             )
             if it < burn:
                 step = adapter.update(accept_prob)

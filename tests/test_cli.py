@@ -91,6 +91,11 @@ class TestSimulate:
         z = read_frailties(str(out) + ".truth.csv")
         assert z.mean() == pytest.approx(1.0, abs=0.1)
 
+    def test_output_in_missing_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "f.csv"
+        assert run("simulate", "--out", str(out), "--seed", "1") == EXIT_CONFIG
+        assert f"config error: cannot write {out}" in capsys.readouterr().err
+
     def test_malformed_mixture(self, tmp_path):
         code = run(
             "simulate", "--out", str(tmp_path / "d.csv"),
@@ -124,6 +129,11 @@ class TestFit:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "nope.csv")) == EXIT_DATA
+
+    def test_output_in_missing_directory_is_config_error(self, warranty_csv, tmp_path, capsys):
+        out = tmp_path / "nodir" / "e.csv"
+        assert run("fit", "--data", str(warranty_csv), "--out", str(out)) == EXIT_CONFIG
+        assert f"config error: cannot write {out}" in capsys.readouterr().err
 
     def test_integer_beyond_int64_is_data_error_naming_its_line(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
@@ -322,6 +332,10 @@ class TestDiagnose:
         assert result["ess"] > 1000
         assert len(result["acf"]) == 51
 
+    def test_missing_trace_is_data_error(self, tmp_path, capsys):
+        assert run("diagnose", "--trace", str(tmp_path / "nope.csv")) == EXIT_DATA
+        assert "data error: cannot read" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def test_smoke_single_replication(self, tmp_path):
@@ -341,6 +355,15 @@ class TestBenchmark:
             "--out", str(tmp_path / "b.csv"),
         )
         assert code == EXIT_CONFIG
+
+    def test_output_in_missing_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "b.csv"
+        code = run(
+            "benchmark", "--scenario", "A", "--M", "1", "--m", "10",
+            "--seed", "3", "--out", str(out),
+        )
+        assert code == EXIT_CONFIG
+        assert f"config error: cannot write {out}" in capsys.readouterr().err
 
     def test_explicit_parameters(self, tmp_path):
         out = tmp_path / "bench.csv"

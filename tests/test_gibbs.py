@@ -133,6 +133,16 @@ class TestConcentration:
         y_dense[1:3] = 1
         assert mean_c(y_gappy, 2) == pytest.approx(mean_c(y_dense, 2), rel=0.03)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 300), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_occupied_count_equals_distinct_allocations(self, m, levels, seed):
+        # random allocations over fewer systems than levels leave empty levels
+        # between occupied ones; the bincount count must match np.unique's
+        rng = np.random.default_rng(seed)
+        y = rng.choice(rng.permutation(levels)[: rng.integers(1, levels + 1)], size=m)
+        state = make_state(m=m, levels=levels, y=y)
+        assert state.n_occupied == np.unique(y).size
+
     def test_stationary_distribution_matches_quadrature(self):
         # the (xi, c) pair is a two-block Gibbs sampler whose c-marginal is
         # pi(c | k, m) ~ Gamma(c; a0, b0) c^{k-1} (c + m) B(c+1, m)

@@ -1,5 +1,8 @@
 """Hamiltonian Monte Carlo kernel: integrator, acceptance, adaptation."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from frailplp.hmc import (
     transform,
     leapfrog,
     hmc_update,
-    log_target_z,
+    _frailty_target,
 )
 
 # a fixed smooth target for kernel-level checks: standard normal in z*
@@ -17,15 +20,15 @@ def _gauss(q):
     return -0.5 * float(q @ q), -q
 
 
-FIXED_ATOMS = dict(
-    n_j=np.array([4.0, 1.0, 7.0]),
-    mu=np.array([0.1, -0.2, 0.3]),
-    tau=np.array([2.0, 1.5, 3.0]),
+def _gauss_grad(q):
+    return -q
+
+
+GAUSS = (_gauss, _gauss_grad)
+
+FIXED_ATOMS = _frailty_target(
+    np.array([4.0, 1.0, 7.0]), np.array([0.1, -0.2, 0.3]), np.array([2.0, 1.5, 3.0])
 )
-
-
-def _frailty_target(q):
-    return log_target_z(q, FIXED_ATOMS["n_j"], FIXED_ATOMS["mu"], FIXED_ATOMS["tau"])
 
 
 class TestConfig:
@@ -42,10 +45,8 @@ class TestLeapfrog:
     def test_reversibility(self):
         q0 = np.array([0.3, -0.7, 1.1])
         p0 = np.array([0.5, 0.2, -0.4])
-        q1, p1, _, ok = leapfrog(q0, p0, 0.05, 30, _gauss, -q0)
-        assert ok
-        q2, p2, _, ok = leapfrog(q1, -p1, 0.05, 30, _gauss, -q1)
-        assert ok
+        q1, p1, _ = leapfrog(q0, p0, 0.05, 30, *GAUSS, -q0)
+        q2, p2, _ = leapfrog(q1, -p1, 0.05, 30, *GAUSS, -q1)
         assert np.max(np.abs(q2 - q0)) < 1e-10
         assert np.max(np.abs(-p2 - p0)) < 1e-10
 
@@ -54,8 +55,7 @@ class TestLeapfrog:
         p0 = np.array([0.5, 0.2])
         logp0, _ = _gauss(q0)
         h0 = -logp0 + 0.5 * float(p0 @ p0)
-        q1, p1, logp1, ok = leapfrog(q0, p0, 1e-3, 100, _gauss, -q0)
-        assert ok
+        q1, p1, logp1 = leapfrog(q0, p0, 1e-3, 100, *GAUSS, -q0)
         h1 = -logp1 + 0.5 * float(p1 @ p1)
         assert abs(h1 - h0) < 1e-5
 
@@ -66,7 +66,7 @@ class TestLeapfrog:
         p0 = np.array([0.0])
         eps = 0.01
         n = int(round(2 * np.pi / eps))
-        q1, p1, _, _ = leapfrog(q0, p0, eps, n, _gauss, -q0)
+        q1, p1, _ = leapfrog(q0, p0, eps, n, *GAUSS, -q0)
         assert q1[0] == pytest.approx(1.0, abs=0.01)
         assert p1[0] == pytest.approx(0.0, abs=0.01)
 
@@ -77,7 +77,7 @@ class TestUpdate:
         cfg = HmcConfig(step_size=1e-6, leapfrog_steps=3, step_jitter=0.0, adapt=False)
         q = np.array([0.2, -0.1])
         for _ in range(20):
-            q, accepted, divergent, accept_prob = hmc_update(q, _gauss, cfg, rng)
+            q, accepted, divergent, accept_prob = hmc_update(q, *GAUSS, cfg, rng)
             assert accepted and not divergent
             assert accept_prob > 0.999
 
@@ -86,23 +86,47 @@ class TestUpdate:
         rng = np.random.default_rng(1)
         cfg = HmcConfig(step_size=200.0, leapfrog_steps=30, step_jitter=0.0, adapt=False)
         q0 = np.array([0.5, 0.5])
-        q, accepted, divergent, accept_prob = hmc_update(q0, _frailty_target, cfg, rng)
+        q, accepted, divergent, accept_prob = hmc_update(q0, *FIXED_ATOMS, cfg, rng)
+        assert divergent and not accepted
+        assert np.array_equal(q, q0)
+        assert accept_prob == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_interior_gradient_is_divergent(self, bad):
+        # interior steps do not check the gradient; the non-finite value
+        # reaches the end point's energy, which must reject the trajectory
+        rng = np.random.default_rng(6)
+        cfg = HmcConfig(step_size=0.05, leapfrog_steps=5, step_jitter=0.0, adapt=False)
+        q0 = np.array([0.3, -0.2])
+        q, accepted, divergent, accept_prob = hmc_update(
+            q0, _gauss, lambda q: np.full_like(q, bad), cfg, rng
+        )
         assert divergent and not accepted
         assert np.array_equal(q, q0)
         assert accept_prob == 0.0
 
     def test_one_gradient_evaluation_per_step_plus_start(self):
+        # only the start and end points, where the Hamiltonian is evaluated,
+        # compute the log density
         calls = []
 
-        def counted(q):
-            calls.append(q)
+        def counted_logp(q):
+            calls.append("logp")
             return _gauss(q)
+
+        def counted_grad(q):
+            calls.append("grad")
+            return _gauss_grad(q)
 
         rng = np.random.default_rng(4)
         cfg = HmcConfig(step_size=0.05, leapfrog_steps=20, step_jitter=0.0, adapt=False)
-        _, _, divergent, _ = hmc_update(np.array([0.3, -0.2]), counted, cfg, rng)
+        _, _, divergent, _ = hmc_update(
+            np.array([0.3, -0.2]), counted_logp, counted_grad, cfg, rng
+        )
         assert not divergent
         assert len(calls) == 21
+        assert calls.count("logp") == 2
+        assert calls[0] == calls[-1] == "logp"
 
     def test_invariance_of_gaussian_moments(self):
         rng = np.random.default_rng(2)
@@ -110,7 +134,7 @@ class TestUpdate:
         q = np.zeros(2)
         draws = []
         for _ in range(6000):
-            q, *_ = hmc_update(q, _gauss, cfg, rng)
+            q, *_ = hmc_update(q, *GAUSS, cfg, rng)
             draws.append(q.copy())
         draws = np.array(draws[500:])
         assert np.abs(draws.mean(axis=0)).max() < 0.05
@@ -125,12 +149,12 @@ class TestDualAveraging:
         q = np.zeros(2)
         step = cfg.step_size
         for it in range(1500):
-            q, _, _, accept_prob = hmc_update(q, _frailty_target, cfg, rng, step_size=step)
+            q, _, _, accept_prob = hmc_update(q, *FIXED_ATOMS, cfg, rng, step_size=step)
             step = adapter.update(accept_prob)
         step = adapter.adapted_step
         accepts = []
         for _ in range(2000):
-            q, accepted, *_ = hmc_update(q, _frailty_target, cfg, rng, step_size=step)
+            q, accepted, *_ = hmc_update(q, *FIXED_ATOMS, cfg, rng, step_size=step)
             accepts.append(accepted)
         assert 0.65 < np.mean(accepts) < 0.95
 
@@ -163,7 +187,7 @@ class TestFrailtyPosterior:
         zs = []
         for it in range(6000):
             q, _, _, accept_prob = hmc_update(
-                q, lambda x: log_target_z(x, n_j, mu, tau), cfg, rng, step_size=step
+                q, *_frailty_target(n_j, mu, tau), cfg, rng, step_size=step
             )
             if it < 1000:
                 step = adapter.update(accept_prob)
@@ -184,10 +208,102 @@ class TestFrailtyPosterior:
         q = np.zeros(2)
         zs = []
         for it in range(4000):
-            q, *_ = hmc_update(
-                q, lambda x: log_target_z(x, n_j, mu, tau), cfg, rng
-            )
+            q, *_ = hmc_update(q, *_frailty_target(n_j, mu, tau), cfg, rng)
             if it >= 500:
                 zs.append(transform(q)[0])
         z_mean = np.array(zs).mean(axis=0)
         assert z_mean[0] < z_mean[1] < z_mean[2]
+
+
+# The kernel before the gradient-only interior steps, kept as the reference
+# for one transition: every leapfrog step evaluated the log density and
+# checked the gradient for finiteness.
+def _reference_log_target_z(z_star, n_j, mu_y, tau_y):
+    m = z_star.size + 1
+    r = np.arange(m, 0, -1, dtype=float)
+    x = z_star - np.log(r[1:])
+    sp = np.log1p(np.exp(-np.abs(x)))
+    log_b = np.minimum(x, 0.0) - sp
+    w = np.empty(m)
+    w[0] = 0.0
+    (-np.maximum(x, 0.0) - sp).cumsum(out=w[1:])
+    w[:-1] += log_b
+    log_jac = float(w.sum())
+    w += math.log(m)
+    n1 = n_j - 1.0
+    d = w - mu_y
+    td = tau_y * d
+    logp = log_jac + float(n1.dot(w)) - 0.5 * float(td.dot(d))
+    h = n1 - td
+    tail = h[::-1].cumsum()[::-1]
+    grad = (1.0 + h[:-1]) - np.exp(log_b) * (r[:-1] + tail[:-1])
+    return logp, grad
+
+
+def _reference_leapfrog(z_star, p, eps, n_steps, grad_fn, grad0):
+    q = np.array(z_star, dtype=float)
+    p = np.array(p, dtype=float) + 0.5 * eps * grad0
+    for step in range(n_steps):
+        q = q + eps * p
+        logp, grad = grad_fn(q)
+        if not np.isfinite(grad).all():
+            return q, p, -np.inf, False
+        p = p + (eps if step < n_steps - 1 else 0.5 * eps) * grad
+    return q, p, logp, True
+
+
+def _reference_hmc_update(z_star, logp_grad_fn, config, rng, step_size):
+    eps = step_size
+    if config.step_jitter > 0:
+        eps = eps * (1.0 + config.step_jitter * (2.0 * rng.uniform() - 1.0))
+    q0 = np.asarray(z_star, dtype=float)
+    logp0, grad0 = logp_grad_fn(q0)
+    p0 = rng.standard_normal(q0.size)
+    h0 = -logp0 + 0.5 * float(p0 @ p0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, p1, logp1, ok = _reference_leapfrog(
+            q0, p0, eps, config.leapfrog_steps, logp_grad_fn, grad0
+        )
+    if not ok or not np.isfinite(logp1):
+        return q0, False, True, 0.0
+    h1 = -logp1 + 0.5 * float(p1 @ p1)
+    delta = h0 - h1
+    if delta < -1000.0:
+        return q0, False, True, 0.0
+    accept_prob = min(1.0, math.exp(min(0.0, delta)))
+    if rng.uniform() < accept_prob:
+        return q1, True, False, accept_prob
+    return q0, False, False, accept_prob
+
+
+class TestMatchesReferenceTransition:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [50, 500, 2000])
+    def test_same_decisions_and_end_point(self, m):
+        # step sizes from 0.01 to 2 give accepted, rejected and divergent
+        # trajectories; each pair of transitions shares its random stream
+        cfg = HmcConfig()
+        gen = np.random.default_rng(m)
+        outcomes = Counter()
+        for i in range(200):
+            z_star = gen.normal(scale=0.3, size=m - 1)
+            n_j = gen.poisson(5.0, size=m).astype(float)
+            mu = gen.normal(scale=0.5, size=m)
+            tau = gen.gamma(2.0, 1.0, size=m)
+            eps = math.exp(gen.uniform(math.log(0.01), math.log(2.0)))
+            ref = _reference_hmc_update(
+                z_star,
+                lambda q: _reference_log_target_z(q, n_j, mu, tau),
+                cfg,
+                np.random.default_rng(i),
+                eps,
+            )
+            new = hmc_update(
+                z_star, *_frailty_target(n_j, mu, tau), cfg,
+                np.random.default_rng(i), step_size=eps,
+            )
+            assert new[1:3] == ref[1:3]
+            assert np.max(np.abs(new[0] - ref[0])) <= 1e-10 * max(1.0, np.max(np.abs(ref[0])))
+            assert new[3] == pytest.approx(ref[3], abs=1e-9)
+            outcomes[ref[1:3]] += 1
+        assert set(outcomes) == {(True, False), (False, False), (False, True)}

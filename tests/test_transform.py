@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frailplp.hmc import transform, inverse_transform, log_target_z
+from frailplp.hmc import transform, inverse_transform, log_target_z, _frailty_target
 
 
 def numeric_log_jacobian(z_star, eps=1e-6):
@@ -208,3 +208,23 @@ class TestMatchesReferenceKernel:
         ref_z, ref_log_jac = reference_transform(z_star)
         assert _close(z, ref_z)
         assert _close(log_jac, ref_log_jac)
+
+
+class TestGradientOnlyPath:
+    """The interior leapfrog steps' gradient equals log_target_z's."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [2, 3, 50, 500, 5000])
+    @pytest.mark.parametrize("half_width", [0.5, 20.0, 700.0])
+    def test_equals_full_evaluation(self, m, half_width):
+        rng = np.random.default_rng(m)
+        z_star = rng.uniform(-half_width, half_width, size=m - 1)
+        n_j = rng.poisson(5.0, size=m).astype(float)
+        mu = rng.normal(size=m)
+        tau = rng.uniform(0.5, 3.0, size=m)
+        logp_grad, grad_only = _frailty_target(n_j, mu, tau)
+        logp, grad = logp_grad(z_star)
+        fast = grad_only(z_star)
+        assert np.isfinite(logp)
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(fast))
+        assert np.all(np.abs(fast - grad) <= 1e-11 * np.maximum(1.0, np.abs(grad)))
