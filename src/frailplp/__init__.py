@@ -24,7 +24,7 @@ from .plp import (
     duane_points,
 )
 from .simulate import SCENARIOS, SimScenario, FrailtyMixture, draw_frailties, simulate
-from .dpm import DpmHyperparams, McmcTrace, run_chain, density_estimate, frailty_variance
+from .dpm import DpmHyperparams, McmcTrace, run_chain, frailty_variance
 from .hmc import HmcConfig, transform, inverse_transform
 from .diagnostics import geweke, autocorrelation, ess, run_harness
 

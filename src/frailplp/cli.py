@@ -28,7 +28,7 @@ from .plp import (
     duane_points,
 )
 from .simulate import SCENARIOS, SimScenario, FrailtyMixture, simulate, write_frailties
-from .dpm import DpmHyperparams, run_chain, density_estimate, frailty_variance, mixture_variance
+from .dpm import DEFAULT_GRID, DpmHyperparams, run_chain, frailty_variance
 from .hmc import HmcConfig
 from .diagnostics import GEWEKE_MIN_DRAWS, geweke, autocorrelation, ess, run_harness
 
@@ -209,12 +209,11 @@ def cmd_mcmc(args):
         adapt=not args.no_adapt,
         target_accept=args.target_accept,
     )
-    if args.iterations <= args.burn_in:
-        raise ConfigError("--iterations must exceed --burn-in")
     if args.iterations - args.burn_in < GEWEKE_MIN_DRAWS:
         raise ConfigError(
             f"need at least {GEWEKE_MIN_DRAWS} post-burn-in iterations for the Geweke check"
         )
+    grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
     trace = run_chain(
         summary,
         hyper=hyper,
@@ -222,36 +221,21 @@ def cmd_mcmc(args):
         iterations=args.iterations,
         burn_in=args.burn_in,
         seed=args.seed,
+        grid=grid,
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    m = summary.design.m
-    _write_matrix(
-        os.path.join(args.out_dir, "z_trace.csv"),
-        ["iteration"] + [f"z_{j}" for j in range(1, m + 1)],
-        trace.z,
-    )
-    _write_matrix(os.path.join(args.out_dir, "var_z_trace.csv"), ["iteration", "var_z"], trace.var_z)
-    _write_matrix(os.path.join(args.out_dir, "c_trace.csv"), ["iteration", "c"], trace.c)
-    _write_matrix(
-        os.path.join(args.out_dir, "acceptance.csv"),
-        ["iteration", "accepted"],
-        trace.accepted.astype(int),
-    )
     z_hat = trace.z_hat
-    _write_matrix(
-        os.path.join(args.out_dir, "z_hat.csv"),
-        ["system", "z_hat", "n_failures"],
-        np.column_stack([z_hat, summary.n_j.astype(float)]),
-    )
-    grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
-    dens = density_estimate(trace, grid)
-    _write_matrix(
-        os.path.join(args.out_dir, "frailty_density.csv"),
-        ["index", "z", "density"],
-        np.column_stack([grid, dens]),
-    )
+    for name, header, array in (
+        ("z_trace.csv", ["iteration"] + [f"z_{j}" for j in range(1, z_hat.size + 1)], trace.z),
+        ("var_z_trace.csv", ["iteration", "var_z"], trace.var_z),
+        ("c_trace.csv", ["iteration", "c"], trace.c),
+        ("acceptance.csv", ["iteration", "accepted"], trace.accepted.astype(int)),
+        ("z_hat.csv", ["system", "z_hat", "n_failures"], np.column_stack([z_hat, summary.n_j])),
+        ("frailty_density.csv", ["index", "z", "density"], np.column_stack([grid, trace.density])),
+    ):
+        _write_matrix(os.path.join(args.out_dir, name), header, array)
     vz = frailty_variance(trace.post_burn_in(trace.var_z))
-    mix_vz = mixture_variance(trace)
+    mix_vz = frailty_variance(trace.post_burn_in(trace.mixture_var))
     gw = geweke(trace.post_burn_in(trace.var_z))
     summary = dict(
         iterations=args.iterations,
@@ -281,8 +265,16 @@ def cmd_mcmc(args):
 
 
 def cmd_diagnose(args):
-    with _reading(args.trace):
-        values = np.loadtxt(args.trace, delimiter=",", skiprows=1, usecols=args.column)
+    with _reading(args.trace), open(args.trace, encoding="utf-8") as fh:
+        try:
+            columns = fh.readline().count(",") + 1
+            if not -columns <= args.column < columns:
+                raise ConfigError(
+                    f"--column {args.column} is beyond the {columns} columns of {args.trace}"
+                )
+            values = np.loadtxt(fh, delimiter=",", usecols=args.column)
+        except ValueError as exc:
+            raise DatasetError(f"malformed trace {args.trace}: {exc}") from None
     gw = geweke(values, first_frac=args.first_frac, last_frac=args.last_frac)
     acf = autocorrelation(values, args.max_lag)
     result = dict(
@@ -395,9 +387,10 @@ def build_parser():
     p.add_argument("--leapfrog-steps", type=int, default=20)
     p.add_argument("--target-accept", type=float, default=0.8)
     p.add_argument("--no-adapt", action="store_true")
-    p.add_argument("--grid-lo", type=float, default=0.02)
-    p.add_argument("--grid-hi", type=float, default=6.0)
-    p.add_argument("--grid-points", type=int, default=300)
+    grid_lo, grid_hi, grid_points = DEFAULT_GRID
+    p.add_argument("--grid-lo", type=float, default=grid_lo)
+    p.add_argument("--grid-hi", type=float, default=grid_hi)
+    p.add_argument("--grid-points", type=int, default=grid_points)
     p.set_defaults(func=cmd_mcmc)
 
     p = sub.add_parser("diagnose", help="Geweke / ACF / ESS on a trace CSV column")

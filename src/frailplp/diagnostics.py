@@ -11,7 +11,6 @@ from .data import summarize
 from .plp import PriorConfig, _gamma_pq, posterior as plp_posterior
 from .simulate import SimScenario, simulate
 from . import dpm
-from .hmc import HmcConfig
 
 __all__ = [
     "GewekeResult",
@@ -176,8 +175,6 @@ def run_harness(
     with_mcmc: bool = False,
     mcmc_iterations: int = 1500,
     mcmc_burn_in: int = 500,
-    hyper: "dpm.DpmHyperparams | None" = None,
-    hmc: HmcConfig | None = None,
 ) -> HarnessReport:
     """Replicate simulate-then-estimate M times and score the estimators.
 
@@ -185,7 +182,8 @@ def run_harness(
     parameter.  Frailties are renormalized to sample mean 1 inside each
     replication, honoring the model constraint mean(Z) = 1 under which the
     closed-form intervals are calibrated.  With with_mcmc set, the frailty
-    variance is re-estimated per replication by a short DPM chain.
+    variance is re-estimated per replication by a short DPM chain at the
+    default hyperpriors and HMC settings.
     """
     if M < 1:
         raise ValueError("need at least one replication")
@@ -214,8 +212,6 @@ def run_harness(
         if with_mcmc:
             trace = dpm.run_chain(
                 summary,
-                hyper=hyper or dpm.DpmHyperparams(),
-                hmc=hmc or HmcConfig(),
                 iterations=mcmc_iterations,
                 burn_in=mcmc_burn_in,
                 seed=rep_scenario.seed,

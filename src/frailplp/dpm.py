@@ -31,11 +31,12 @@ __all__ = [
     "extend_levels",
     "prune_levels",
     "run_chain",
-    "density_estimate",
     "log_frailty_density",
     "frailty_variance",
-    "mixture_variance",
 ]
+
+# (lo, hi, points) of the frailty-density grid when none is given
+DEFAULT_GRID = (0.02, 6.0, 300)
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,11 @@ class DpmHyperparams:
     p0: float = 1.0
 
     def __post_init__(self):
-        for name in ("ac0", "bc0", "s0", "d0", "p0"):
-            if getattr(self, name) <= 0:
+        for name in ("ac0", "bc0", "m0", "s0", "d0", "p0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if name != "m0" and value <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -238,17 +242,21 @@ def update_allocations(state: DpmState, rng):
 class McmcTrace:
     """Iteration-indexed sampler output (includes burn-in; see burn_in index).
 
-    mixtures holds one (rho, mu, tau) state per post-burn-in sweep; the
-    concentration of every sweep is in c.
+    mixture_var is each sweep's mixture variance from the log-normal moments
+    of its atoms (inf beyond the float range).  Only its quantiles mean
+    anything: exp(2 mu + 2 / tau) has no finite posterior mean when tau is
+    gamma-distributed.  density is the frailty density on run_chain's grid,
+    averaged over the post-burn-in states.
     """
 
     z: np.ndarray
     var_z: np.ndarray
+    mixture_var: np.ndarray
     c: np.ndarray
     n_clusters: np.ndarray
     accepted: np.ndarray
     step_sizes: np.ndarray
-    mixtures: list
+    density: np.ndarray
     burn_in: int
     divergences: int = 0
 
@@ -291,19 +299,23 @@ def run_chain(
     iterations: int = 10_000,
     burn_in: int = 5_000,
     seed: int = 0,
+    grid=None,
 ) -> McmcTrace:
     """Run the hybrid Gibbs + HMC chain on the frailty posterior.
 
     Per sweep: concentration pair, allocated sticks, slices, lazy level
     extension, atoms, allocations, then one HMC move of the constrained Z.
     Step size is dual-averaged toward the target acceptance during burn-in
-    and frozen afterwards.
+    and frozen afterwards.  Each sweep records the mixture variance, and
+    each post-burn-in sweep adds its frailty density on grid (by default
+    np.linspace(*DEFAULT_GRID)) to the running mean.
     """
     if iterations <= burn_in:
         raise ValueError("iterations must exceed burn_in")
     m = summary.design.m
     if m < 2:
         raise ValueError("frailty estimation needs at least two systems")
+    grid = _positive_grid(np.linspace(*DEFAULT_GRID) if grid is None else grid)
     n_j = summary.n_j.astype(float)
     hmc = hmc or HmcConfig()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
@@ -314,11 +326,12 @@ def run_chain(
 
     z_draws = np.empty((iterations, m))
     var_z = np.empty(iterations)
+    mixture_var = np.empty(iterations)
+    density = np.zeros_like(grid)
     c_draws = np.empty(iterations)
     n_clusters = np.empty(iterations, dtype=int)
     accepted = np.zeros(iterations, dtype=bool)
     step_sizes = np.empty(iterations)
-    mixtures = []
     divergences = 0
 
     for it in range(iterations):
@@ -345,53 +358,62 @@ def run_chain(
         z = state.z
         z_draws[it] = z
         var_z[it] = float(np.sum((z - 1.0) ** 2) / (m - 1))
+        rho = state.rho
+        mixture_var[it] = _mixture_var(rho, state.mu, state.tau)
         c_draws[it] = state.c
         n_clusters[it] = state.n_occupied
         accepted[it] = acc
         step_sizes[it] = step
         if it >= burn_in:
-            mixtures.append((state.rho.copy(), state.mu.copy(), state.tau.copy()))
+            density += log_frailty_density(grid, rho, state.mu, state.tau)
 
     return McmcTrace(
         z=z_draws,
         var_z=var_z,
+        mixture_var=mixture_var,
         c=c_draws,
         n_clusters=n_clusters,
         accepted=accepted,
         step_sizes=step_sizes,
-        mixtures=mixtures,
+        density=density / (iterations - burn_in),
         burn_in=burn_in,
         divergences=divergences,
     )
 
 
+def _positive_grid(grid):
+    grid = np.asarray(grid, dtype=float)
+    if not (grid.size and grid.min() > 0):
+        raise ValueError("grid must be non-empty and positive")
+    return grid
+
+
 def log_frailty_density(grid, rho, mu, tau):
     """Mixture-of-log-normals density on a positive grid for one state.
 
-    The weights are divided by their sum, the state's instantiated stick mass.
+    One (grid, level) matrix of unnormalised normal kernels in log z, times
+    the weights rho with each level's normal constant folded in.  The weights
+    are divided by their sum, the state's instantiated stick mass.
     """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0):
-        raise ValueError("grid must be positive")
-    logz = np.log(grid)
-    dens = np.zeros_like(grid)
-    for r, mu_l, tau_l in zip(rho, mu, tau):
-        dens += (
-            r
-            * np.sqrt(tau_l / (2.0 * np.pi))
-            / grid
-            * np.exp(-0.5 * tau_l * (logz - mu_l) ** 2)
-        )
-    return dens / np.sum(rho)
+    grid = _positive_grid(grid)
+    rho, mu, tau = (np.asarray(a, dtype=float) for a in (rho, mu, tau))
+    dev = np.log(grid)[..., None] - mu
+    kernel = np.exp(-0.5 * tau * dev**2)
+    return kernel @ (rho * np.sqrt(tau / (2.0 * np.pi))) / (grid * rho.sum())
 
 
-def density_estimate(trace: McmcTrace, grid):
-    """Posterior frailty density on a grid, averaged over post-burn-in states."""
-    grid = np.asarray(grid, dtype=float)
-    total = np.zeros_like(grid)
-    for rho, mu, tau in trace.mixtures:
-        total += log_frailty_density(grid, rho, mu, tau)
-    return total / len(trace.mixtures)
+def _mixture_var(rho, mu, tau):
+    """Var(Z) of one mixture state from the log-normal moments of its atoms.
+
+    A variance beyond the float range is inf: both moments overflow
+    together, and inf - inf is nan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = rho.sum()
+        first = (rho * np.exp(mu + 0.5 / tau)).sum() / norm
+        second = (rho * np.exp(2.0 * mu + 2.0 / tau)).sum() / norm
+        var = float(second - first**2)
+    return math.inf if math.isnan(var) else var
 
 
 @dataclass(frozen=True)
@@ -403,41 +425,26 @@ class VarianceSummary:
 
     @classmethod
     def from_draws(cls, draws):
-        """Mean, sd and equal-tail 95% interval of a set of draws."""
+        """Mean, sd and equal-tail 95% interval of a set of draws.
+
+        Draws of McmcTrace.mixture_var can be inf or so large that their
+        squares overflow.  Those make the mean and sd inf or nan, but leave
+        the interval exact while fewer than 2.5% of the draws are inf.
+        """
         draws = np.asarray(draws, dtype=float)
         if draws.size == 0:
             raise ValueError("empty trace")
-        lo, hi = np.quantile(draws, [0.025, 0.975])
-        return cls(
-            mean=float(draws.mean()),
-            sd=float(draws.std(ddof=1)) if draws.size > 1 else 0.0,
-            ci_low=float(lo),
-            ci_high=float(hi),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = np.quantile(draws, [0.025, 0.975])
+            return cls(
+                mean=float(draws.mean()),
+                sd=float(draws.std(ddof=1)) if draws.size > 1 else 0.0,
+                ci_low=float(lo),
+                ci_high=float(hi),
+            )
 
 
-def frailty_variance(var_z_draws) -> VarianceSummary:
-    """Posterior summary of the empirical frailty variance (1/(m-1)) sum (z-1)^2."""
-    return VarianceSummary.from_draws(var_z_draws)
-
-
-def mixture_variance(trace: McmcTrace) -> VarianceSummary:
-    """Alternative Var(Z) summary from the mixture states themselves.
-
-    Uses log-normal moments per atom; exposed alongside the empirical version
-    because the two need not agree.  Only its quantiles are meaningful: the
-    second moment exp(2 mu + 2 / tau) has no finite posterior mean when tau
-    is gamma-distributed.  A state whose variance exceeds the float range
-    (a level with tiny tau) counts as inf, which leaves the interval exact
-    while fewer than 2.5% of the states do so.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = []
-        for rho, mu, tau in trace.mixtures:
-            norm = rho.sum()
-            first = np.sum(rho * np.exp(mu + 0.5 / tau)) / norm
-            second = np.sum(rho * np.exp(2.0 * mu + 2.0 / tau)) / norm
-            vals.append(second - first**2)
-        # both moments overflow together, and inf - inf is nan
-        vals = np.where(np.isnan(vals), np.inf, vals)
-        return VarianceSummary.from_draws(vals)
+def frailty_variance(draws) -> VarianceSummary:
+    """Posterior summary of a variance series: McmcTrace.var_z, the empirical
+    frailty variance (1/(m-1)) sum (z-1)^2, or McmcTrace.mixture_var."""
+    return VarianceSummary.from_draws(draws)

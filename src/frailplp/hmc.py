@@ -56,12 +56,14 @@ class HmcConfig:
     target_accept: float = 0.8
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError("step size must be finite and positive")
         if self.leapfrog_steps < 1:
             raise ValueError("need at least one leapfrog step")
         if not 0.0 <= self.step_jitter < 1.0:
             raise ValueError("step jitter must lie in [0, 1)")
+        if not 0.0 < self.target_accept < 1.0:
+            raise ValueError("target acceptance must lie in (0, 1)")
 
 
 @functools.lru_cache(maxsize=8)

@@ -29,7 +29,6 @@ from frailplp.dpm import (
     DpmState,
     update_concentration,
     run_chain,
-    density_estimate,
     frailty_variance,
 )
 from frailplp.diagnostics import geweke, autocorrelation, run_harness
@@ -351,9 +350,9 @@ class TestCriterion8NonparametricFlexibility:
             normalize_frailties=True,
         )
         data, z = simulate(scen)
-        trace = run_chain(summarize(data), iterations=3_000, burn_in=1_500, seed=2)
         grid = np.linspace(0.05, 3.5, 300)
-        dens = density_estimate(trace, grid)
+        trace = run_chain(summarize(data), iterations=3_000, burn_in=1_500, seed=2, grid=grid)
+        dens = trace.density
         interior = (
             (dens[1:-1] > dens[:-2])
             & (dens[1:-1] > dens[2:])

@@ -273,6 +273,42 @@ class TestMcmc:
         assert "post-burn-in" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_same_seed_writes_identical_files(self, mcmc_out, tmp_path):
+        again = tmp_path / "again"
+        code = run(
+            "mcmc", "--data", str(mcmc_out.parent / "fleet.csv"), "--out-dir", str(again),
+            "--iterations", "600", "--burn-in", "300", "--seed", "2",
+        )
+        assert code == EXIT_OK
+        names = sorted(p.name for p in mcmc_out.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            assert (again / name).read_bytes() == (mcmc_out / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--grid-lo", "0"),
+            ("--grid-points", "0"),
+            ("--grid-lo", "nan"),
+            ("--target-accept", "1.5"),
+            ("--target-accept", "0"),
+            ("--step-size", "nan"),
+            ("--step-size", "inf"),
+            ("--s0", "nan"),
+            ("--m0", "inf"),
+        ],
+    )
+    def test_meaningless_settings_rejected_before_any_output(self, mcmc_out, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        code = run(
+            "mcmc", "--data", str(mcmc_out.parent / "fleet.csv"), "--out-dir", str(out),
+            "--iterations", "200", "--burn-in", "100", *flags,
+        )
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, mcmc_out, tmp_path, monkeypatch, capsys):
         def broken_chain(*args, **kwargs):
             raise FloatingPointError("non-finite state")
@@ -335,6 +371,22 @@ class TestDiagnose:
     def test_missing_trace_is_data_error(self, tmp_path, capsys):
         assert run("diagnose", "--trace", str(tmp_path / "nope.csv")) == EXIT_DATA
         assert "data error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row", ["7,not-a-number", "7", "7,\xff"])
+    def test_malformed_trace_is_data_error(self, tmp_path, capsys, bad_row):
+        trace = tmp_path / "trace.csv"
+        rows = [f"{i},{0.5 + 0.01 * i!r}" for i in range(200)]
+        rows[7] = bad_row
+        trace.write_bytes(("iteration,value\n" + "\n".join(rows) + "\n").encode("latin-1"))
+        assert run("diagnose", "--trace", str(trace)) == EXIT_DATA
+        assert f"data error: malformed trace {trace}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["2", "-3"])
+    def test_column_beyond_header_is_config_error(self, tmp_path, capsys, column):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("iteration,value\n" + "".join(f"{i},{0.5 + 0.01 * i!r},9\n" for i in range(200)))
+        assert run("diagnose", "--trace", str(trace), "--column", column) == EXIT_CONFIG
+        assert "beyond the 2 columns" in capsys.readouterr().err
 
 
 class TestBenchmark:

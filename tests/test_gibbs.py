@@ -1,7 +1,6 @@
 """Gibbs blocks of the nonparametric frailty sampler and the full chain."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,12 +23,13 @@ from frailplp.dpm import (
     update_allocations,
     extend_levels,
     prune_levels,
+    DEFAULT_GRID,
     run_chain,
-    density_estimate,
     log_frailty_density,
     frailty_variance,
-    mixture_variance,
+    _mixture_var,
 )
+from frailplp import dpm
 
 
 def make_state(m=6, levels=4, y=None, c=1.0, seed=0, z=None):
@@ -96,6 +96,19 @@ class TestStickBreaking:
         rho = stick_break(nu)
         assert np.all(rho > 0)
         assert rho.sum() + np.prod(1 - nu) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("name", ["ac0", "bc0", "m0", "s0", "d0", "p0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DpmHyperparams(**{name: value})
+
+    def test_rejects_non_positive_scales_but_not_a_negative_mean(self):
+        with pytest.raises(ValueError, match="s0"):
+            DpmHyperparams(s0=0.0)
+        assert DpmHyperparams(m0=-2.0).m0 == -2.0
 
 
 class TestConcentration:
@@ -394,8 +407,8 @@ class TestChain:
     def test_trace_shapes(self, trace):
         tr, _ = trace
         assert tr.z.shape == (1500, 50)
-        assert tr.var_z.shape == tr.c.shape == (1500,)
-        assert len(tr.mixtures) == 1000
+        assert tr.var_z.shape == tr.mixture_var.shape == tr.c.shape == (1500,)
+        assert tr.density.shape == np.linspace(*DEFAULT_GRID).shape
 
     def test_reproducible(self, trace):
         scen = SimScenario(
@@ -460,13 +473,53 @@ class TestDensity:
         dens = log_frailty_density(grid, [0.5], [0.0], [1.0])
         assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-5)
 
-    def test_estimate_averages_the_stored_states(self):
+    def test_levels_at_once_match_a_sum_over_levels(self):
+        grid = np.linspace(0.05, 4.0, 80)
+        rho = np.array([0.3, 0.6, 0.05])
+        mu = np.array([-0.5, 0.4, 1.2])
+        tau = np.array([4.0, 2.0, 0.5])
+        expected = sum(
+            r * np.sqrt(t / (2.0 * np.pi)) / grid * np.exp(-0.5 * t * (np.log(grid) - u) ** 2)
+            for r, u, t in zip(rho, mu, tau)
+        ) / rho.sum()
+        assert np.allclose(log_frailty_density(grid, rho, mu, tau), expected, rtol=1e-14, atol=0.0)
+
+    def test_chain_density_is_the_mean_over_post_burn_in_states(self, monkeypatch):
+        calls = []
+
+        def recorded(*args):
+            calls.append(log_frailty_density(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(dpm, "log_frailty_density", recorded)
+        data, _ = simulate(
+            SimScenario(
+                design=ObservationDesign(T=20.0, m=10, K=1),
+                true_params=PlpParams(beta=np.array([1.0]), alpha=np.array([5.0])),
+                eta=0.5,
+                seed=2,
+            )
+        )
         grid = np.linspace(0.1, 3.0, 50)
-        one = (np.array([0.5]), np.array([0.0]), np.array([1.0]))
-        two = (np.array([0.3, 0.6]), np.array([-0.5, 0.4]), np.array([4.0, 2.0]))
-        dens = density_estimate(SimpleNamespace(mixtures=[one, two]), grid)
-        expected = (log_frailty_density(grid, *one) + log_frailty_density(grid, *two)) / 2
-        assert np.allclose(dens, expected, rtol=1e-14, atol=0.0)
+        tr = run_chain(summarize(data), iterations=60, burn_in=20, seed=1, grid=grid)
+        assert len(calls) == 60 - 20
+        assert np.allclose(tr.density, np.mean(calls, axis=0), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("grid", [np.array([0.0, 1.0]), np.array([np.nan]), np.empty(0)])
+    def test_chain_rejects_a_bad_grid_before_sweeping(self, monkeypatch, grid):
+        def no_sweeps(*args):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(dpm, "prune_levels", no_sweeps)
+        data, _ = simulate(
+            SimScenario(
+                design=ObservationDesign(T=20.0, m=4, K=1),
+                true_params=PlpParams(beta=np.array([1.0]), alpha=np.array([5.0])),
+                seed=1,
+            )
+        )
+        with pytest.raises(ValueError, match="grid"):
+            run_chain(summarize(data), iterations=10, burn_in=5, seed=0, grid=grid)
 
 
 class TestVarianceSummaries:
@@ -491,7 +544,7 @@ class TestVarianceSummaries:
         )
         data, _ = simulate(scen)
         tr = run_chain(summarize(data), iterations=800, burn_in=400, seed=1)
-        mv = mixture_variance(tr)
+        mv = frailty_variance(tr.post_burn_in(tr.mixture_var))
         assert mv.ci_low > 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -500,6 +553,11 @@ class TestVarianceSummaries:
         # tau = 1e-3 has a variance near exp(2000), beyond the float range
         state = (np.array([1.0]), np.array([0.0]), np.array([1.0]))
         huge = (np.array([1.0]), np.array([0.0]), np.array([1e-3]))
-        mv = mixture_variance(SimpleNamespace(mixtures=[state] * 100 + [huge]))
-        assert mv.ci_low == mv.ci_high == pytest.approx(math.e * (math.e - 1.0), rel=1e-12)
-        assert mv.mean == math.inf
+        # and one with tau = 4e-3 a finite variance near exp(500), whose square overflows
+        big = (np.array([1.0]), np.array([0.0]), np.array([4e-3]))
+        assert _mixture_var(*huge) == math.inf
+        assert math.isfinite(_mixture_var(*big))
+        for outlier, mean in ((huge, math.inf), (big, pytest.approx(_mixture_var(*big) / 101))):
+            mv = frailty_variance([_mixture_var(*state)] * 100 + [_mixture_var(*outlier)])
+            assert mv.ci_low == mv.ci_high == pytest.approx(math.e * (math.e - 1.0), rel=1e-12)
+            assert mv.mean == mean

@@ -40,6 +40,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             HmcConfig(step_jitter=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(step_size=math.nan),
+            dict(step_size=math.inf),
+            dict(target_accept=0.0),
+            dict(target_accept=1.0),
+            dict(target_accept=1.5),
+            dict(target_accept=math.nan),
+        ],
+    )
+    def test_rejects_settings_that_make_a_meaningless_chain(self, kwargs):
+        with pytest.raises(ValueError):
+            HmcConfig(**kwargs)
+
 
 class TestLeapfrog:
     def test_reversibility(self):
