@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -272,9 +273,16 @@ def cmd_diagnose(args):
                 raise ConfigError(
                     f"--column {args.column} is beyond the {columns} columns of {args.trace}"
                 )
-            values = np.loadtxt(fh, delimiter=",", usecols=args.column)
+            with warnings.catch_warnings():
+                # an empty body is reported below as a short trace
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", usecols=args.column, ndmin=1)
         except ValueError as exc:
             raise DatasetError(f"malformed trace {args.trace}: {exc}") from None
+    if values.size < GEWEKE_MIN_DRAWS:
+        raise DatasetError(
+            f"trace {args.trace} holds {values.size} values; the diagnostic needs >= {GEWEKE_MIN_DRAWS}"
+        )
     gw = geweke(values, first_frac=args.first_frac, last_frac=args.last_frac)
     acf = autocorrelation(values, args.max_lag)
     result = dict(

@@ -6,12 +6,16 @@ indices Y) keeps the active part of the mixture finite each sweep; the
 concentration parameter gets the Escobar-West auxiliary-variable update;
 atoms are normal-gamma; the constrained Z itself moves by HMC on its
 unconstrained representation.
+
+The chain's Markov state is the concentration c, the allocations Y and the
+frailties Z* alone.  Each sweep draws the sticks, slices and atoms afresh
+from their conditionals given those three, so no level value crosses a sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +33,6 @@ __all__ = [
     "update_atoms",
     "update_allocations",
     "extend_levels",
-    "prune_levels",
     "run_chain",
     "log_frailty_density",
     "frailty_variance",
@@ -59,32 +62,34 @@ class DpmHyperparams:
                 raise ValueError(f"{name} must be positive")
 
 
+def _no_levels():
+    return np.empty(0)
+
+
 @dataclass
 class DpmState:
-    """Mutable sampler state: mixture, latents and the constrained frailties.
+    """Mutable sampler state: the carried c, y and z_star, and one sweep's levels.
 
-    Levels are 0-based internally; y_star is the count of levels up to and
-    including the highest allocated one, l_star the number instantiated.
-    The frailties z and their logs w are derived from z_star once each time
-    it is assigned; w comes from the log-space sticks, so it stays finite
-    where z underflows to 0.
+    Only the concentration c, the 0-based allocations y and the constrained
+    frailties z_star carry from one sweep to the next.  The sticks nu, slices
+    u and atoms (mu, tau) are drawn afresh within each sweep, so they start
+    empty; l_star is the number of levels instantiated.  The frailties z and
+    their logs w are derived from z_star once each time it is assigned; w
+    comes from the log-space sticks, so it stays finite where z underflows
+    to 0.
     """
 
     c: float
-    nu: np.ndarray
-    mu: np.ndarray
-    tau: np.ndarray
-    u: np.ndarray
     y: np.ndarray
     z_star: np.ndarray
+    nu: np.ndarray = field(default_factory=_no_levels)
+    mu: np.ndarray = field(default_factory=_no_levels)
+    tau: np.ndarray = field(default_factory=_no_levels)
+    u: np.ndarray = field(default_factory=_no_levels)
 
     @property
     def rho(self):
         return stick_break(self.nu)
-
-    @property
-    def y_star(self):
-        return int(self.y.max()) + 1
 
     @property
     def l_star(self):
@@ -109,18 +114,8 @@ class DpmState:
 def stick_break(nu):
     """Weights from stick fractions: rho_l = nu_l * prod_{o<l}(1 - nu_o)."""
     nu = np.asarray(nu, dtype=float)
-    if nu.size == 0:
-        return np.empty(0)
     rem = np.concatenate(([1.0], np.cumprod(1.0 - nu[:-1])))
     return nu * rem
-
-
-def _draw_atom(hyper: DpmHyperparams, rng, m_l=None, s_l=None, dp_l=None, d_l=None):
-    if m_l is None:
-        m_l, s_l, dp_l, d_l = hyper.m0, hyper.s0, hyper.d0 * hyper.p0, hyper.d0
-    tau = rng.gamma(shape=d_l, scale=1.0 / dp_l)
-    mu = rng.normal(loc=m_l, scale=1.0 / np.sqrt(s_l * tau))
-    return mu, tau
 
 
 def update_concentration(state: DpmState, m: int, hyper: DpmHyperparams, rng):
@@ -134,71 +129,49 @@ def update_concentration(state: DpmState, m: int, hyper: DpmHyperparams, rng):
     landing on a high empty level inflates c, which spawns more levels and
     feeds back.
     """
-    y_star = state.n_occupied
+    k = state.n_occupied
     xi = rng.beta(state.c + 1.0, m)
     rate = hyper.bc0 - math.log(xi)
-    shape_hi = hyper.ac0 + y_star
-    odds = (hyper.ac0 + y_star - 1.0) / (m * rate)
+    shape_hi = hyper.ac0 + k
+    odds = (hyper.ac0 + k - 1.0) / (m * rate)
     p_hi = odds / (1.0 + odds)
     shape = shape_hi if rng.uniform() < p_hi else shape_hi - 1.0
-    c = rng.gamma(shape=shape, scale=1.0 / rate)
-    state.c = c
-    return xi, c
+    state.c = rng.gamma(shape=shape, scale=1.0 / rate)
+    return xi, state.c
 
 
 def update_sticks(state: DpmState, rng):
-    """Refresh every stick fraction in one draw.
+    """Draw the sticks of levels 0..max(Y) afresh, replacing the last sweep's.
 
-    nu_l | Y, c ~ Beta(1 + n_l, c + m - sum_{o<=l} n_o).  Above the top
-    allocated level n_l = 0 and the cumulative count is m, so the same
-    formula gives the prior Beta(1, c).
+    nu_l | Y, c ~ Beta(1 + n_l, c + m - sum_{o<=l} n_o).  Levels above the
+    top allocated one are left to extend_levels, which draws them from the
+    prior Beta(1, c) only as far as the slices need.
     """
-    counts = state.level_counts()
+    counts = np.bincount(state.y)
     state.nu = rng.beta(1.0 + counts, state.c + state.y.size - np.cumsum(counts))
     return state.nu
 
 
 def update_slices(state: DpmState, rng):
     """u_j ~ Uniform(0, rho_{Y_j}]; keeps the admissible level set finite."""
-    rho = state.rho
-    state.u = rng.uniform(size=state.y.size) * rho[state.y]
+    state.u = rng.uniform(size=state.y.size) * state.rho[state.y]
     return state.u
 
 
-def prune_levels(state: DpmState):
-    """Drop instantiated levels above the highest allocated one.
+def extend_levels(state: DpmState, rng):
+    """Append prior sticks Beta(1, c) until the remaining mass is below min(U).
 
-    Unallocated sticks and atoms are exchangeable prior draws, so discarding
-    them leaves the chain's law unchanged while keeping the state bounded;
-    extend_levels regenerates whatever the next slice set needs.
+    The remaining mass prod(1 - nu) is 1 minus the covered mass, so every
+    level with rho_l > u_j for some j is then instantiated.  Atoms are left
+    to update_atoms, which draws all levels' atoms at once.
     """
-    keep = state.y_star
-    state.nu = state.nu[:keep]
-    state.mu = state.mu[:keep]
-    state.tau = state.tau[:keep]
-    return keep
-
-
-def extend_levels(state: DpmState, hyper: DpmHyperparams, rng):
-    """Instantiate levels until the covered stick mass exceeds 1 - min(U)."""
-    target = 1.0 - float(state.u.min())
-    rho = state.rho
-    covered = float(rho.sum())
+    u_min = float(state.u.min())
     rem = float(np.prod(1.0 - state.nu))
-    nus = list(state.nu)
-    mus = list(state.mu)
-    taus = list(state.tau)
-    while covered <= target and rem > 1e-300:
-        nu_new = rng.beta(1.0, state.c)
-        nus.append(nu_new)
-        mu_new, tau_new = _draw_atom(hyper, rng)
-        mus.append(mu_new)
-        taus.append(tau_new)
-        covered += rem * nu_new
-        rem *= 1.0 - nu_new
-    state.nu = np.array(nus)
-    state.mu = np.array(mus)
-    state.tau = np.array(taus)
+    new = []
+    while rem >= u_min and rem > 1e-300:
+        new.append(rng.beta(1.0, state.c))
+        rem *= 1.0 - new[-1]
+    state.nu = np.concatenate((state.nu, new))
     return state.l_star
 
 
@@ -209,6 +182,7 @@ def update_atoms(state: DpmState, hyper: DpmHyperparams, rng):
     d_l = d0 + n_l,  d_l p_l = d0 p0 + sum (w - w_bar)^2
                                + s0 n_l / (s0 + n_l) * (m0 - w_bar)^2;
     with n_l = 0 these reduce to the prior, so empty levels are prior draws.
+    Every instantiated level's atom is drawn afresh, replacing the last sweep's.
     """
     w = state.w
     counts = state.level_counts()
@@ -219,7 +193,8 @@ def update_atoms(state: DpmState, hyper: DpmHyperparams, rng):
     m_l = (hyper.s0 * hyper.m0 + sums) / s_l
     d_l = hyper.d0 + counts
     dp_l = hyper.d0 * hyper.p0 + sq_dev + hyper.s0 * counts / s_l * (hyper.m0 - w_bar) ** 2
-    state.mu, state.tau = _draw_atom(hyper, rng, m_l, s_l, dp_l, d_l)
+    state.tau = rng.gamma(shape=d_l, scale=1.0 / dp_l)
+    state.mu = rng.normal(loc=m_l, scale=1.0 / np.sqrt(s_l * state.tau))
     return state.mu, state.tau
 
 
@@ -277,19 +252,9 @@ class McmcTrace:
         return float(self.accepted[self.burn_in :].mean())
 
 
-def _init_state(m, hyper, rng):
-    """Three prior levels, every system on the first, all frailties one."""
-    nu = rng.beta(1.0, np.ones(3))
-    atoms = [_draw_atom(hyper, rng) for _ in range(nu.size)]
-    return DpmState(
-        c=1.0,
-        nu=nu,
-        mu=np.array([a[0] for a in atoms]),
-        tau=np.array([a[1] for a in atoms]),
-        u=np.full(m, 1e-3),
-        y=np.zeros(m, dtype=int),
-        z_star=np.zeros(m - 1),
-    )
+def _init_state(m):
+    """c = 1, every system on the first level, all frailties one; no levels."""
+    return DpmState(c=1.0, y=np.zeros(m, dtype=int), z_star=np.zeros(m - 1))
 
 
 def run_chain(
@@ -305,8 +270,10 @@ def run_chain(
 
     Per sweep: concentration pair, allocated sticks, slices, lazy level
     extension, atoms, allocations, then one HMC move of the constrained Z.
-    Step size is dual-averaged toward the target acceptance during burn-in
-    and frozen afterwards.  Each sweep records the mixture variance, and
+    Only c, the allocations and Z carry between sweeps; the sticks, slices
+    and atoms are redrawn from their conditionals in each.  Step size is
+    dual-averaged toward the target acceptance during burn-in and frozen
+    afterwards.  Each sweep records the mixture variance, and
     each post-burn-in sweep adds its frailty density on grid (by default
     np.linspace(*DEFAULT_GRID)) to the running mean.
     """
@@ -320,7 +287,7 @@ def run_chain(
     hmc = hmc or HmcConfig()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
 
-    state = _init_state(m, hyper, rng)
+    state = _init_state(m)
     adapter = DualAveraging(hmc.step_size, target=hmc.target_accept) if hmc.adapt else None
     step = hmc.step_size
 
@@ -335,11 +302,10 @@ def run_chain(
     divergences = 0
 
     for it in range(iterations):
-        prune_levels(state)
         update_concentration(state, m, hyper, rng)
         update_sticks(state, rng)
         update_slices(state, rng)
-        extend_levels(state, hyper, rng)
+        extend_levels(state, rng)
         update_atoms(state, hyper, rng)
         update_allocations(state, rng)
 
@@ -423,28 +389,32 @@ class VarianceSummary:
     ci_low: float
     ci_high: float
 
-    @classmethod
-    def from_draws(cls, draws):
-        """Mean, sd and equal-tail 95% interval of a set of draws.
-
-        Draws of McmcTrace.mixture_var can be inf or so large that their
-        squares overflow.  Those make the mean and sd inf or nan, but leave
-        the interval exact while fewer than 2.5% of the draws are inf.
-        """
-        draws = np.asarray(draws, dtype=float)
-        if draws.size == 0:
-            raise ValueError("empty trace")
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = np.quantile(draws, [0.025, 0.975])
-            return cls(
-                mean=float(draws.mean()),
-                sd=float(draws.std(ddof=1)) if draws.size > 1 else 0.0,
-                ci_low=float(lo),
-                ci_high=float(hi),
-            )
-
 
 def frailty_variance(draws) -> VarianceSummary:
-    """Posterior summary of a variance series: McmcTrace.var_z, the empirical
-    frailty variance (1/(m-1)) sum (z-1)^2, or McmcTrace.mixture_var."""
-    return VarianceSummary.from_draws(draws)
+    """Mean, sd and equal-tail 95% interval of a variance series:
+    McmcTrace.var_z, the empirical frailty variance (1/(m-1)) sum (z-1)^2,
+    or McmcTrace.mixture_var.
+
+    Draws of mixture_var can be inf or so large that their squares overflow.
+    Those make the mean and sd inf or nan, but leave the interval exact while
+    fewer than 2.5% of the draws are inf; an interval end that falls between
+    two inf draws, or between a finite and an inf one, is inf.
+    """
+    draws = np.asarray(draws, dtype=float)
+    if draws.size == 0:
+        raise ValueError("empty trace")
+    ordered = np.sort(draws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return VarianceSummary(
+            mean=float(draws.mean()),
+            sd=float(draws.std(ddof=1)) if draws.size > 1 else 0.0,
+            ci_low=_quantile(ordered, 0.025),
+            ci_high=_quantile(ordered, 0.975),
+        )
+
+
+def _quantile(ordered, q):
+    """numpy's default (linear) quantile of sorted draws, without its inf - inf = nan."""
+    pos = q * (ordered.size - 1)
+    lo, hi = ordered[math.floor(pos)], ordered[math.ceil(pos)]
+    return float(lo if lo == hi else lo + (hi - lo) * (pos % 1.0))

@@ -381,6 +381,15 @@ class TestDiagnose:
         assert run("diagnose", "--trace", str(trace)) == EXIT_DATA
         assert f"data error: malformed trace {trace}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_short_trace_is_data_error(self, tmp_path, capsys, rows):
+        # a header-only or one-row trace is a short input, not a bad flag,
+        # and loadtxt's empty-input warning does not escape
+        trace = tmp_path / "trace.csv"
+        trace.write_text("iteration,value\n" + "".join(f"{i},0.5\n" for i in range(rows)))
+        assert run("diagnose", "--trace", str(trace)) == EXIT_DATA
+        assert f"data error: trace {trace} holds {rows} values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("column", ["2", "-3"])
     def test_column_beyond_header_is_config_error(self, tmp_path, capsys, column):
         trace = tmp_path / "trace.csv"

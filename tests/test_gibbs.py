@@ -1,5 +1,6 @@
 """Gibbs blocks of the nonparametric frailty sampler and the full chain."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from frailplp.dpm import (
     update_atoms,
     update_allocations,
     extend_levels,
-    prune_levels,
     DEFAULT_GRID,
     run_chain,
     log_frailty_density,
@@ -221,13 +221,26 @@ class TestSticks:
             assert draws[:, l].mean() == pytest.approx(a / (a + b), rel=0.02)
 
     def test_unallocated_levels_are_prior_draws(self):
+        # every stick extend_levels appends is Beta(1, c); pooled over
+        # repetitions their mean is 1 / (1 + c) by Wald's identity
         m, c = 4, 3.0
         rng = np.random.default_rng(6)
         draws = []
-        for _ in range(20_000):
-            state = make_state(m=m, levels=5, y=np.zeros(m), c=c)
-            draws.append(update_sticks(state, rng)[4])
+        for _ in range(5_000):
+            state = make_state(m=m, levels=1, y=np.zeros(m), c=c)
+            state.u = np.full(m, 1e-4)
+            extend_levels(state, rng)
+            draws.extend(state.nu[1:])
+        assert len(draws) > 20_000
         assert np.mean(draws) == pytest.approx(1.0 / (1.0 + c), rel=0.03)
+
+    @pytest.mark.parametrize("y", [[0, 0, 0], [2, 0, 5, 5, 1], [0, 0, 3, 0]])
+    def test_one_stick_per_level_up_to_the_top_allocated(self, y):
+        # carried sticks of any number are replaced, never extended or cut
+        for levels in (1, 4, 9):
+            state = make_state(m=len(y), levels=levels, y=y)
+            assert update_sticks(state, np.random.default_rng(6)).size == max(y) + 1
+            assert state.l_star == max(y) + 1
 
 
 class TestSlicesAndLevels:
@@ -251,16 +264,10 @@ class TestSlicesAndLevels:
         rng = np.random.default_rng(9)
         state = make_state(m=10, levels=2, y=np.zeros(10), c=5.0)
         state.u = np.full(10, 1e-6)
-        extend_levels(state, hyper, rng)
+        extend_levels(state, rng)
         assert state.rho.sum() > 1.0 - 1e-6
+        update_atoms(state, hyper, rng)
         assert state.nu.size == state.mu.size == state.tau.size
-
-    def test_prune_drops_only_unallocated_tail(self):
-        state = make_state(m=5, levels=9, y=np.array([0, 2, 2, 1, 0]))
-        kept = prune_levels(state)
-        assert kept == 3
-        assert state.nu.size == state.mu.size == state.tau.size == 3
-        assert state.y.max() < state.nu.size
 
 
 class TestAtoms:
@@ -433,6 +440,32 @@ class TestChain:
         with pytest.raises(ValueError):
             run_chain(summarize(scen_data), iterations=100, burn_in=200, seed=0)
 
+    @pytest.mark.parametrize("levels", [1, 5, 40])
+    def test_carried_levels_are_never_read(self, monkeypatch, levels):
+        # only c, y and z_star cross a sweep: NaN sticks, atoms and slices of
+        # any length in the initial state leave the chain bit-identical
+        data, _ = simulate(
+            SimScenario(
+                design=ObservationDesign(T=20.0, m=12, K=1),
+                true_params=PlpParams(beta=np.array([1.0]), alpha=np.array([5.0])),
+                eta=0.5,
+                seed=4,
+            )
+        )
+        summary = summarize(data)
+        reference = run_chain(summary, iterations=80, burn_in=30, seed=2)
+        init = dpm._init_state
+
+        def nan_levels(m):
+            state = init(m)
+            state.nu, state.mu, state.tau, state.u = (np.full(levels, np.nan) for _ in range(4))
+            return state
+
+        monkeypatch.setattr(dpm, "_init_state", nan_levels)
+        again = run_chain(summary, iterations=80, burn_in=30, seed=2)
+        for f in dataclasses.fields(again):
+            assert np.array_equal(getattr(again, f.name), getattr(reference, f.name)), f.name
+
     def test_needs_two_systems(self):
         data, _ = simulate(
             SimScenario(
@@ -510,7 +543,7 @@ class TestDensity:
         def no_sweeps(*args):
             raise AssertionError("the chain ran")
 
-        monkeypatch.setattr(dpm, "prune_levels", no_sweeps)
+        monkeypatch.setattr(dpm, "update_concentration", no_sweeps)
         data, _ = simulate(
             SimScenario(
                 design=ObservationDesign(T=20.0, m=4, K=1),
@@ -531,6 +564,27 @@ class TestVarianceSummaries:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             frailty_variance(np.array([]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "finite, n_inf, ci_high",
+        [(90, 11, math.inf), (98, 3, math.inf), (40, 1, 1.0), (99, 2, 1.0)],
+    )
+    def test_interval_end_among_inf_draws(self, finite, n_inf, ci_high):
+        # the 97.5% point lies between two inf draws, between a finite and
+        # an inf draw, exactly on a finite draw next to an inf one, or
+        # between two finite draws below the infs
+        vs = frailty_variance([1.0] * finite + [math.inf] * n_inf)
+        assert vs.ci_low == 1.0
+        assert vs.ci_high == ci_high
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=300))
+    def test_finite_interval_is_numpy_linear_quantile(self, draws):
+        vs = frailty_variance(draws)
+        lo, hi = np.quantile(draws, [0.025, 0.975])
+        assert vs.ci_low == pytest.approx(lo, rel=1e-12, abs=1e-300)
+        assert vs.ci_high == pytest.approx(hi, rel=1e-12, abs=1e-300)
 
     def test_mixture_based_summary_runs(self):
         # crude agreement check on a short chain; the mixture version is
