@@ -63,13 +63,20 @@ def geweke(chain, first_frac=0.1, last_frac=0.5) -> GewekeResult:
 
     The segment variances use the zero-frequency spectral density, so the
     score is calibrated against autocorrelated chains.  A constant chain
-    scores 0 by convention.
+    scores 0 by convention.  The first and last windows must be positive
+    fractions that do not overlap, and each must hold at least 2 draws.
     """
     x = np.asarray(chain, dtype=float)
     if x.size < GEWEKE_MIN_DRAWS:
         raise ValueError(f"chain too short for the diagnostic (need >= {GEWEKE_MIN_DRAWS})")
+    if not (0.0 < first_frac and 0.0 < last_frac and first_frac + last_frac <= 1.0):
+        raise ValueError(
+            f"geweke windows {first_frac} and {last_frac} must be positive and sum to at most 1"
+        )
     n_a = int(first_frac * x.size)
     n_b = int(last_frac * x.size)
+    if min(n_a, n_b) < 2:
+        raise ValueError(f"geweke windows of {n_a} and {n_b} draws; each needs at least 2")
     a, b = x[:n_a], x[x.size - n_b :]
     s_a = _spectral_variance_at_zero(a)
     s_b = _spectral_variance_at_zero(b)
@@ -84,8 +91,8 @@ def autocorrelation(chain, max_lag):
     """ACF at lags 0..max_lag; a constant chain returns 1 followed by zeros."""
     x = np.asarray(chain, dtype=float)
     n = x.size
-    if max_lag >= n:
-        raise ValueError("max_lag must be below the chain length")
+    if not 0 <= max_lag < n:
+        raise ValueError("max_lag must be non-negative and below the chain length")
     x = x - x.mean()
     var = float(x @ x) / n
     if var == 0.0:

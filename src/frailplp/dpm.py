@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CountSummary
-from .hmc import HmcConfig, DualAveraging, _frailty_target, _sticks, hmc_update
+from .hmc import HmcConfig, DualAveraging, FrailtyTarget, hmc_update
 
 __all__ = [
     "DpmHyperparams",
@@ -73,10 +73,10 @@ class DpmState:
     Only the concentration c, the 0-based allocations y and the constrained
     frailties z_star carry from one sweep to the next.  The sticks nu, slices
     u and atoms (mu, tau) are drawn afresh within each sweep, so they start
-    empty; l_star is the number of levels instantiated.  The frailties z and
-    their logs w are derived from z_star once each time it is assigned; w
-    comes from the log-space sticks, so it stays finite where z underflows
-    to 0.
+    empty; l_star is the number of levels instantiated.  Two values are
+    derived once each time their source is assigned: the weights rho from
+    nu, and the log-frailties w from z_star.  w comes from the log-space
+    sticks, so it stays finite where the frailties z = exp(w) underflow to 0.
     """
 
     c: float
@@ -88,19 +88,25 @@ class DpmState:
     u: np.ndarray = field(default_factory=_no_levels)
 
     @property
-    def rho(self):
-        return stick_break(self.nu)
-
-    @property
     def l_star(self):
         return self.nu.size
+
+    @property
+    def z(self):
+        return np.exp(self.w)
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         if name == "z_star":
-            w = _sticks(value)[1]
-            super().__setattr__("w", w)
-            super().__setattr__("z", np.exp(w))
+            super().__setattr__("w", FrailtyTarget(value).w)
+        elif name == "nu":
+            super().__setattr__("rho", stick_break(value))
+
+    def _set_derived(self, **values):
+        """Assign a source together with the value derived from it (z_star
+        with w, nu with rho) when the caller already holds both."""
+        for name, value in values.items():
+            super().__setattr__(name, value)
 
     def level_counts(self):
         return np.bincount(self.y, minlength=self.l_star)
@@ -113,9 +119,9 @@ class DpmState:
 
 def stick_break(nu):
     """Weights from stick fractions: rho_l = nu_l * prod_{o<l}(1 - nu_o)."""
-    nu = np.asarray(nu, dtype=float)
-    rem = np.concatenate(([1.0], np.cumprod(1.0 - nu[:-1])))
-    return nu * rem
+    rho = np.array(nu, dtype=float)
+    rho[1:] *= np.multiply.accumulate(1.0 - rho[:-1])
+    return rho
 
 
 def update_concentration(state: DpmState, m: int, hyper: DpmHyperparams, rng):
@@ -162,16 +168,22 @@ def extend_levels(state: DpmState, rng):
     """Append prior sticks Beta(1, c) until the remaining mass is below min(U).
 
     The remaining mass prod(1 - nu) is 1 minus the covered mass, so every
-    level with rho_l > u_j for some j is then instantiated.  Atoms are left
-    to update_atoms, which draws all levels' atoms at once.
+    level with rho_l > u_j for some j is then instantiated.  A new level's
+    weight is its stick times the remaining mass before it, so the weights
+    of the levels already there are extended, not recomputed.  Atoms are
+    left to update_atoms, which draws all levels' atoms at once.
     """
     u_min = float(state.u.min())
     rem = float(np.prod(1.0 - state.nu))
-    new = []
+    nu, rho = [], []
     while rem >= u_min and rem > 1e-300:
-        new.append(rng.beta(1.0, state.c))
-        rem *= 1.0 - new[-1]
-    state.nu = np.concatenate((state.nu, new))
+        nu.append(rng.beta(1.0, state.c))
+        rho.append(nu[-1] * rem)
+        rem *= 1.0 - nu[-1]
+    if nu:
+        state._set_derived(
+            nu=np.concatenate((state.nu, nu)), rho=np.concatenate((state.rho, rho))
+        )
     return state.l_star
 
 
@@ -193,8 +205,10 @@ def update_atoms(state: DpmState, hyper: DpmHyperparams, rng):
     m_l = (hyper.s0 * hyper.m0 + sums) / s_l
     d_l = hyper.d0 + counts
     dp_l = hyper.d0 * hyper.p0 + sq_dev + hyper.s0 * counts / s_l * (hyper.m0 - w_bar) ** 2
-    state.tau = rng.gamma(shape=d_l, scale=1.0 / dp_l)
-    state.mu = rng.normal(loc=m_l, scale=1.0 / np.sqrt(s_l * state.tau))
+    # the standard draws times the scale (plus the mean) are bit-identical to
+    # the broadcasting gamma(shape, scale) and normal(loc, scale), and cheaper
+    state.tau = rng.standard_gamma(d_l) * (1.0 / dp_l)
+    state.mu = m_l + rng.standard_normal(d_l.size) * (1.0 / np.sqrt(s_l * state.tau))
     return state.mu, state.tau
 
 
@@ -207,7 +221,7 @@ def update_allocations(state: DpmState, rng):
     w = state.w
     logw = 0.5 * np.log(state.tau) - 0.5 * state.tau * (w[:, None] - state.mu) ** 2
     logw = np.where(state.rho > state.u[:, None], logw, -np.inf)
-    if not np.all(np.isfinite(logw.max(axis=1))):
+    if not np.isfinite(logw.max(axis=1)).all():
         raise FloatingPointError("a system has no admissible level with a finite weight")
     state.y = np.argmax(logw + rng.gumbel(size=logw.shape), axis=1)
     return state.y
@@ -276,18 +290,26 @@ def run_chain(
     afterwards.  Each sweep records the mixture variance, and
     each post-burn-in sweep adds its frailty density on grid (by default
     np.linspace(*DEFAULT_GRID)) to the running mean.
+
+    The HMC move runs on one FrailtyTarget for the whole chain: it starts
+    from the forward pass of the current frailties, and an accepted end
+    point's forward pass gives the state its new log-frailties.
     """
+    if burn_in < 0:
+        raise ValueError("burn_in must not be negative")
     if iterations <= burn_in:
         raise ValueError("iterations must exceed burn_in")
     m = summary.design.m
     if m < 2:
         raise ValueError("frailty estimation needs at least two systems")
     grid = _positive_grid(np.linspace(*DEFAULT_GRID) if grid is None else grid)
+    log_grid = np.log(grid)
     n_j = summary.n_j.astype(float)
     hmc = hmc or HmcConfig()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
 
     state = _init_state(m)
+    target = FrailtyTarget(state.z_star)
     adapter = DualAveraging(hmc.step_size, target=hmc.target_accept) if hmc.adapt else None
     step = hmc.step_size
 
@@ -309,10 +331,10 @@ def run_chain(
         update_atoms(state, hyper, rng)
         update_allocations(state, rng)
 
-        logp_grad, grad = _frailty_target(n_j, state.mu[state.y], state.tau[state.y])
-        state.z_star, acc, divergent, accept_prob = hmc_update(
-            state.z_star, logp_grad, grad, hmc, rng, step_size=step
-        )
+        target.set_atoms(n_j, state.mu[state.y], state.tau[state.y])
+        z_star, acc, divergent, accept_prob = hmc_update(target, hmc, rng, step_size=step)
+        if acc:
+            state._set_derived(z_star=z_star, w=target.w)
         if divergent:
             divergences += 1
         if adapter is not None:
@@ -321,17 +343,15 @@ def run_chain(
             elif it == burn_in:
                 step = adapter.adapted_step
 
-        z = state.z
-        z_draws[it] = z
-        var_z[it] = float(np.sum((z - 1.0) ** 2) / (m - 1))
-        rho = state.rho
-        mixture_var[it] = _mixture_var(rho, state.mu, state.tau)
+        dev = np.exp(state.w, out=z_draws[it]) - 1.0
+        var_z[it] = float(dev @ dev) / (m - 1)
+        mixture_var[it] = _mixture_var(state.rho, state.mu, state.tau)
         c_draws[it] = state.c
         n_clusters[it] = state.n_occupied
         accepted[it] = acc
         step_sizes[it] = step
         if it >= burn_in:
-            density += log_frailty_density(grid, rho, state.mu, state.tau)
+            density += log_frailty_density(grid, state.rho, state.mu, state.tau, log_grid)
 
     return McmcTrace(
         z=z_draws,
@@ -354,16 +374,20 @@ def _positive_grid(grid):
     return grid
 
 
-def log_frailty_density(grid, rho, mu, tau):
+def log_frailty_density(grid, rho, mu, tau, log_grid=None):
     """Mixture-of-log-normals density on a positive grid for one state.
 
     One (grid, level) matrix of unnormalised normal kernels in log z, times
     the weights rho with each level's normal constant folded in.  The weights
-    are divided by their sum, the state's instantiated stick mass.
+    are divided by their sum, the state's instantiated stick mass.  A caller
+    that evaluates many states on one grid passes np.log(grid) as log_grid;
+    the grid is then taken as already checked.
     """
-    grid = _positive_grid(grid)
+    if log_grid is None:
+        grid = _positive_grid(grid)
+        log_grid = np.log(grid)
     rho, mu, tau = (np.asarray(a, dtype=float) for a in (rho, mu, tau))
-    dev = np.log(grid)[..., None] - mu
+    dev = log_grid[..., None] - mu
     kernel = np.exp(-0.5 * tau * dev**2)
     return kernel @ (rho * np.sqrt(tau / (2.0 * np.pi))) / (grid * rho.sum())
 

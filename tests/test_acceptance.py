@@ -22,7 +22,7 @@ from frailplp.hmc import (
     transform,
     inverse_transform,
     hmc_update,
-    _frailty_target,
+    FrailtyTarget,
 )
 from frailplp.dpm import (
     DpmHyperparams,
@@ -253,14 +253,13 @@ class TestCriterion6SamplerOracles:
         cfg = HmcConfig()
         rng = np.random.default_rng(7)
         adapter = DualAveraging(cfg.step_size, target=cfg.target_accept)
-        q = np.zeros(2)
+        target = FrailtyTarget(np.zeros(2))
+        target.set_atoms(n_j, mu, tau)
         step = cfg.step_size
         zs = []
         burn, iters = 2000, 14000
         for it in range(iters):
-            q, _, _, accept_prob = hmc_update(
-                q, *_frailty_target(n_j, mu, tau), cfg, rng, step_size=step
-            )
+            q, _, _, accept_prob = hmc_update(target, cfg, rng, step_size=step)
             if it < burn:
                 step = adapter.update(accept_prob)
             elif it == burn:

@@ -309,6 +309,18 @@ class TestMcmc:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_burn_in_rejected_before_any_output(self, mcmc_out, tmp_path, capsys):
+        # a negative burn-in used to run the whole chain, write every file
+        # and then fail on a five-draw "post-burn-in" trace
+        out = tmp_path / "x"
+        code = run(
+            "mcmc", "--data", str(mcmc_out.parent / "fleet.csv"), "--out-dir", str(out),
+            "--burn-in", "-5", "--iterations", "200",
+        )
+        assert code == EXIT_CONFIG
+        assert "config error: burn_in must not be negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, mcmc_out, tmp_path, monkeypatch, capsys):
         def broken_chain(*args, **kwargs):
             raise FloatingPointError("non-finite state")
@@ -389,6 +401,28 @@ class TestDiagnose:
         trace.write_text("iteration,value\n" + "".join(f"{i},0.5\n" for i in range(rows)))
         assert run("diagnose", "--trace", str(trace)) == EXIT_DATA
         assert f"data error: trace {trace} holds {rows} values" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--max-lag", "-3"), "max_lag must be non-negative"),
+            (("--first-frac", "-0.2"), "must be positive and sum to at most 1"),
+            (("--last-frac", "0"), "must be positive and sum to at most 1"),
+            (("--first-frac", "1.5"), "must be positive and sum to at most 1"),
+            (("--first-frac", "0.6"), "must be positive and sum to at most 1"),
+            (("--first-frac", "0.001"), "each needs at least 2"),
+        ],
+    )
+    def test_bad_diagnostic_settings_are_config_error(self, tmp_path, capsys, flags, message):
+        # a negative lag, a window of no or negative size, windows that
+        # overlap and a window of fewer than 2 draws are rejected, not scored
+        trace = tmp_path / "trace.csv"
+        trace.write_text("iteration,value\n" + "".join(f"{i},{math.sin(i)!r}\n" for i in range(1000)))
+        out = tmp_path / "diag.json"
+        assert run("diagnose", "--trace", str(trace), "--out", str(out), *flags) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("column", ["2", "-3"])
     def test_column_beyond_header_is_config_error(self, tmp_path, capsys, column):

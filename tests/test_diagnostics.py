@@ -45,6 +45,30 @@ class TestGeweke:
         with pytest.raises(ValueError):
             geweke(np.ones(50))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "first_frac, last_frac",
+        [
+            (-0.2, 0.5),  # a negative window used to score z = 0, a silent pass
+            (0.0, 0.5),
+            (0.1, 0.0),
+            (math.nan, 0.5),
+            (1.5, 0.5),  # windows that overlap
+            (0.6, 0.5),
+            (0.001, 0.5),  # an empty first window: numpy's "Mean of empty slice"
+            (0.1, 0.0015),  # a one-draw last window
+        ],
+    )
+    def test_rejects_bad_windows(self, first_frac, last_frac):
+        chain = np.random.default_rng(2).standard_normal(1000)
+        with pytest.raises(ValueError, match="geweke windows"):
+            geweke(chain, first_frac=first_frac, last_frac=last_frac)
+
+    def test_windows_that_meet_or_hold_two_draws_are_scored(self):
+        chain = np.random.default_rng(2).standard_normal(1000)
+        assert math.isfinite(geweke(chain, first_frac=0.5, last_frac=0.5).z_score)
+        assert math.isfinite(geweke(chain, first_frac=0.002, last_frac=0.002).z_score)
+
     def test_segment_fractions_recorded(self):
         rng = np.random.default_rng(2)
         r = geweke(rng.standard_normal(1000), first_frac=0.2, last_frac=0.4)
@@ -60,6 +84,11 @@ class TestGeweke:
 
 
 class TestAutocorrelation:
+    def test_rejects_negative_max_lag(self):
+        # a negative lag used to slice from the end of the FFT output
+        with pytest.raises(ValueError, match="max_lag"):
+            autocorrelation(np.random.default_rng(4).standard_normal(1000), -3)
+
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(4)
         acf = autocorrelation(rng.standard_normal(1000), 5)

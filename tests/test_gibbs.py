@@ -12,7 +12,7 @@ from scipy.stats import chisquare
 from frailplp.data import ObservationDesign, summarize
 from frailplp.plp import PlpParams
 from frailplp.simulate import SimScenario, simulate
-from frailplp.hmc import inverse_transform, transform
+from frailplp.hmc import FrailtyTarget, HmcConfig, inverse_transform, transform
 from frailplp.dpm import (
     DpmHyperparams,
     DpmState,
@@ -59,19 +59,18 @@ class TestDerivedFrailties:
         normal = z > 1e-300
         assert np.allclose(state.w[normal], np.log(z[normal]), rtol=1e-12, atol=1e-12)
 
-    def test_one_forward_pass_per_sweep(self, monkeypatch):
-        # log_target_z makes its own passes through the hmc module; the state
-        # derives z and w once per assignment of z_star
-        import frailplp.dpm as dpm
-
+    def test_one_forward_pass_per_leapfrog_step(self, monkeypatch):
+        # the initial state and the chain's target each make one; then a
+        # transition starts from its current point's pass, and an accepted
+        # end point's pass gives the state its log-frailties
         calls = []
-        sticks = dpm._sticks
+        forward = FrailtyTarget._forward
 
-        def counted(z_star):
+        def counted(self, q):
             calls.append(1)
-            return sticks(z_star)
+            forward(self, q)
 
-        monkeypatch.setattr(dpm, "_sticks", counted)
+        monkeypatch.setattr(FrailtyTarget, "_forward", counted)
         data, _ = simulate(
             SimScenario(
                 design=ObservationDesign(T=20.0, m=8, K=1),
@@ -80,7 +79,7 @@ class TestDerivedFrailties:
             )
         )
         run_chain(summarize(data), iterations=30, burn_in=10, seed=0)
-        assert len(calls) == 1 + 30  # initial state, then one per sweep
+        assert len(calls) == 2 + 30 * HmcConfig().leapfrog_steps
 
 
 class TestStickBreaking:
@@ -308,6 +307,32 @@ class TestAtoms:
         assert np.mean(taus) == pytest.approx(3.0 / 1.5, rel=0.03)
         assert np.mean(mus) == pytest.approx(1.5, abs=0.03)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_are_bit_identical_to_the_broadcasting_calls(self, seed):
+        # standard_gamma(d) * (1 / dp) and m + standard_normal(L) * scale
+        # replay gamma(shape, scale) and normal(loc, scale) on one stream
+        hyper = DpmHyperparams(m0=0.3, s0=1.5, d0=2.0, p0=0.7)
+        state = make_state(m=40, levels=6, y=np.arange(40) % 4, seed=seed)
+        state.z_star = np.random.default_rng(seed).normal(scale=0.8, size=39)
+        gen_state = np.random.default_rng(seed + 10).bit_generator.state
+        mu, tau = update_atoms(state, hyper, np.random.default_rng(seed + 10))
+
+        old = np.random.default_rng()
+        old.bit_generator.state = gen_state
+        w, y, L = state.w, state.y, state.l_star
+        counts = np.bincount(y, minlength=L)
+        sums = np.bincount(y, weights=w, minlength=L)
+        w_bar = sums / np.maximum(counts, 1)
+        sq_dev = np.bincount(y, weights=(w - w_bar[y]) ** 2, minlength=L)
+        s_l = hyper.s0 + counts
+        m_l = (hyper.s0 * hyper.m0 + sums) / s_l
+        d_l = hyper.d0 + counts
+        dp_l = hyper.d0 * hyper.p0 + sq_dev + hyper.s0 * counts / s_l * (hyper.m0 - w_bar) ** 2
+        old_tau = old.gamma(shape=d_l, scale=1.0 / dp_l)
+        old_mu = old.normal(loc=m_l, scale=1.0 / np.sqrt(s_l * old_tau))
+        assert np.array_equal(tau, old_tau)
+        assert np.array_equal(mu, old_mu)
+
     def test_posterior_concentrates_on_observed_log_frailties(self):
         hyper = DpmHyperparams()
         rng = np.random.default_rng(12)
@@ -465,6 +490,23 @@ class TestChain:
         again = run_chain(summary, iterations=80, burn_in=30, seed=2)
         for f in dataclasses.fields(again):
             assert np.array_equal(getattr(again, f.name), getattr(reference, f.name)), f.name
+
+    def test_rejects_negative_burn_in_before_sweeping(self, monkeypatch):
+        # a negative burn-in used to run, keep only the last draws as
+        # "post-burn-in" and divide the density sum by iterations - burn_in
+        def no_sweeps(*args):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(dpm, "update_concentration", no_sweeps)
+        data, _ = simulate(
+            SimScenario(
+                design=ObservationDesign(T=20.0, m=4, K=1),
+                true_params=PlpParams(beta=np.array([1.0]), alpha=np.array([5.0])),
+                seed=1,
+            )
+        )
+        with pytest.raises(ValueError, match="burn_in must not be negative"):
+            run_chain(summarize(data), iterations=200, burn_in=-5, seed=0)
 
     def test_needs_two_systems(self):
         data, _ = simulate(

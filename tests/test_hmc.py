@@ -9,26 +9,46 @@ import pytest
 from frailplp.hmc import (
     HmcConfig,
     DualAveraging,
+    FrailtyTarget,
     transform,
     leapfrog,
     hmc_update,
-    _frailty_target,
 )
 
-# a fixed smooth target for kernel-level checks: standard normal in z*
-def _gauss(q):
-    return -0.5 * float(q @ q), -q
+
+class Gauss:
+    """A fixed smooth target for kernel-level checks: standard normal in z*,
+    with FrailtyTarget's start / kick / finish / accept steps."""
+
+    def __init__(self, z_star):
+        self.z_star = np.array(z_star, dtype=float)
+
+    def start(self, eps, r):
+        self.scale = eps * eps
+        r -= 0.5 * self.scale * self.z_star
+        return -0.5 * float(self.z_star @ self.z_star)
+
+    def kick(self, q, r):
+        r -= self.scale * q
+
+    def finish(self, q, r):
+        r -= 0.5 * self.scale * q
+        return -0.5 * float(q @ q)
+
+    def accept(self, q):
+        self.z_star = q
 
 
-def _gauss_grad(q):
-    return -q
+def frailty_target(z_star, n_j, mu, tau):
+    target = FrailtyTarget(z_star)
+    target.set_atoms(n_j, mu, tau)
+    return target
 
 
-GAUSS = (_gauss, _gauss_grad)
-
-FIXED_ATOMS = _frailty_target(
-    np.array([4.0, 1.0, 7.0]), np.array([0.1, -0.2, 0.3]), np.array([2.0, 1.5, 3.0])
-)
+def fixed_atoms(z_star):
+    return frailty_target(
+        z_star, np.array([4.0, 1.0, 7.0]), np.array([0.1, -0.2, 0.3]), np.array([2.0, 1.5, 3.0])
+    )
 
 
 class TestConfig:
@@ -60,17 +80,17 @@ class TestLeapfrog:
     def test_reversibility(self):
         q0 = np.array([0.3, -0.7, 1.1])
         p0 = np.array([0.5, 0.2, -0.4])
-        q1, p1, _ = leapfrog(q0, p0, 0.05, 30, *GAUSS, -q0)
-        q2, p2, _ = leapfrog(q1, -p1, 0.05, 30, *GAUSS, -q1)
+        q1, p1, _, _ = leapfrog(Gauss(q0), p0, 0.05, 30)
+        q2, p2, _, _ = leapfrog(Gauss(q1), -p1, 0.05, 30)
         assert np.max(np.abs(q2 - q0)) < 1e-10
         assert np.max(np.abs(-p2 - p0)) < 1e-10
 
     def test_energy_conservation_small_step(self):
         q0 = np.array([0.3, -0.7])
         p0 = np.array([0.5, 0.2])
-        logp0, _ = _gauss(q0)
+        q1, p1, logp0, logp1 = leapfrog(Gauss(q0), p0, 1e-3, 100)
+        assert logp0 == -0.5 * float(q0 @ q0)
         h0 = -logp0 + 0.5 * float(p0 @ p0)
-        q1, p1, logp1 = leapfrog(q0, p0, 1e-3, 100, *GAUSS, -q0)
         h1 = -logp1 + 0.5 * float(p1 @ p1)
         assert abs(h1 - h0) < 1e-5
 
@@ -81,7 +101,7 @@ class TestLeapfrog:
         p0 = np.array([0.0])
         eps = 0.01
         n = int(round(2 * np.pi / eps))
-        q1, p1, _ = leapfrog(q0, p0, eps, n, *GAUSS, -q0)
+        q1, p1, _, _ = leapfrog(Gauss(q0), p0, eps, n)
         assert q1[0] == pytest.approx(1.0, abs=0.01)
         assert p1[0] == pytest.approx(0.0, abs=0.01)
 
@@ -90,10 +110,11 @@ class TestUpdate:
     def test_tiny_step_always_accepts(self):
         rng = np.random.default_rng(0)
         cfg = HmcConfig(step_size=1e-6, leapfrog_steps=3, step_jitter=0.0, adapt=False)
-        q = np.array([0.2, -0.1])
+        target = Gauss([0.2, -0.1])
         for _ in range(20):
-            q, accepted, divergent, accept_prob = hmc_update(q, *GAUSS, cfg, rng)
+            q, accepted, divergent, accept_prob = hmc_update(target, cfg, rng)
             assert accepted and not divergent
+            assert q is target.z_star
             assert accept_prob > 0.999
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -101,9 +122,10 @@ class TestUpdate:
         rng = np.random.default_rng(1)
         cfg = HmcConfig(step_size=200.0, leapfrog_steps=30, step_jitter=0.0, adapt=False)
         q0 = np.array([0.5, 0.5])
-        q, accepted, divergent, accept_prob = hmc_update(q0, *FIXED_ATOMS, cfg, rng)
+        target = fixed_atoms(q0)
+        q, accepted, divergent, accept_prob = hmc_update(target, cfg, rng)
         assert divergent and not accepted
-        assert np.array_equal(q, q0)
+        assert np.array_equal(q, q0) and np.array_equal(target.z_star, q0)
         assert accept_prob == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -112,10 +134,12 @@ class TestUpdate:
         # reaches the end point's energy, which must reject the trajectory
         rng = np.random.default_rng(6)
         cfg = HmcConfig(step_size=0.05, leapfrog_steps=5, step_jitter=0.0, adapt=False)
+        class BadInterior(Gauss):
+            def kick(self, q, r):
+                r += bad
+
         q0 = np.array([0.3, -0.2])
-        q, accepted, divergent, accept_prob = hmc_update(
-            q0, _gauss, lambda q: np.full_like(q, bad), cfg, rng
-        )
+        q, accepted, divergent, accept_prob = hmc_update(BadInterior(q0), cfg, rng)
         assert divergent and not accepted
         assert np.array_equal(q, q0)
         assert accept_prob == 0.0
@@ -125,19 +149,22 @@ class TestUpdate:
         # compute the log density
         calls = []
 
-        def counted_logp(q):
-            calls.append("logp")
-            return _gauss(q)
+        class Counted(Gauss):
+            def start(self, eps, r):
+                calls.append("logp")
+                return super().start(eps, r)
 
-        def counted_grad(q):
-            calls.append("grad")
-            return _gauss_grad(q)
+            def kick(self, q, r):
+                calls.append("grad")
+                super().kick(q, r)
+
+            def finish(self, q, r):
+                calls.append("logp")
+                return super().finish(q, r)
 
         rng = np.random.default_rng(4)
         cfg = HmcConfig(step_size=0.05, leapfrog_steps=20, step_jitter=0.0, adapt=False)
-        _, _, divergent, _ = hmc_update(
-            np.array([0.3, -0.2]), counted_logp, counted_grad, cfg, rng
-        )
+        _, _, divergent, _ = hmc_update(Counted([0.3, -0.2]), cfg, rng)
         assert not divergent
         assert len(calls) == 21
         assert calls.count("logp") == 2
@@ -146,10 +173,10 @@ class TestUpdate:
     def test_invariance_of_gaussian_moments(self):
         rng = np.random.default_rng(2)
         cfg = HmcConfig(step_size=0.4, leapfrog_steps=10, adapt=False)
-        q = np.zeros(2)
+        target = Gauss(np.zeros(2))
         draws = []
         for _ in range(6000):
-            q, *_ = hmc_update(q, *GAUSS, cfg, rng)
+            q, *_ = hmc_update(target, cfg, rng)
             draws.append(q.copy())
         draws = np.array(draws[500:])
         assert np.abs(draws.mean(axis=0)).max() < 0.05
@@ -161,15 +188,15 @@ class TestDualAveraging:
         rng = np.random.default_rng(3)
         cfg = HmcConfig(step_size=0.5, leapfrog_steps=10, target_accept=0.8)
         adapter = DualAveraging(cfg.step_size, target=cfg.target_accept)
-        q = np.zeros(2)
+        target = fixed_atoms(np.zeros(2))
         step = cfg.step_size
         for it in range(1500):
-            q, _, _, accept_prob = hmc_update(q, *FIXED_ATOMS, cfg, rng, step_size=step)
+            _, _, _, accept_prob = hmc_update(target, cfg, rng, step_size=step)
             step = adapter.update(accept_prob)
         step = adapter.adapted_step
         accepts = []
         for _ in range(2000):
-            q, accepted, *_ = hmc_update(q, *FIXED_ATOMS, cfg, rng, step_size=step)
+            _, accepted, *_ = hmc_update(target, cfg, rng, step_size=step)
             accepts.append(accepted)
         assert 0.65 < np.mean(accepts) < 0.95
 
@@ -197,13 +224,11 @@ class TestFrailtyPosterior:
         rng = np.random.default_rng(4)
         cfg = HmcConfig(step_size=0.1, leapfrog_steps=20)
         adapter = DualAveraging(cfg.step_size, target=cfg.target_accept)
-        q = np.zeros(3)
+        target = frailty_target(np.zeros(3), n_j, mu, tau)
         step = cfg.step_size
         zs = []
         for it in range(6000):
-            q, _, _, accept_prob = hmc_update(
-                q, *_frailty_target(n_j, mu, tau), cfg, rng, step_size=step
-            )
+            q, _, _, accept_prob = hmc_update(target, cfg, rng, step_size=step)
             if it < 1000:
                 step = adapter.update(accept_prob)
             elif it == 1000:
@@ -220,10 +245,10 @@ class TestFrailtyPosterior:
         tau = np.ones(3)
         rng = np.random.default_rng(5)
         cfg = HmcConfig(step_size=0.15, leapfrog_steps=20)
-        q = np.zeros(2)
+        target = frailty_target(np.zeros(2), n_j, mu, tau)
         zs = []
         for it in range(4000):
-            q, *_ = hmc_update(q, *_frailty_target(n_j, mu, tau), cfg, rng)
+            q, *_ = hmc_update(target, cfg, rng)
             if it >= 500:
                 zs.append(transform(q)[0])
         z_mean = np.array(zs).mean(axis=0)
@@ -291,34 +316,61 @@ def _reference_hmc_update(z_star, logp_grad_fn, config, rng, step_size):
     return q0, False, False, accept_prob
 
 
+def _transition_pairs(m, z_scale, log_eps_range, count=200):
+    """Reference and new transitions from random states, each pair on one stream."""
+    cfg = HmcConfig()
+    gen = np.random.default_rng(m)
+    for i in range(count):
+        z_star = gen.normal(scale=z_scale, size=m - 1)
+        n_j = gen.poisson(5.0, size=m).astype(float)
+        mu = gen.normal(scale=0.5, size=m)
+        tau = gen.gamma(2.0, 1.0, size=m)
+        eps = math.exp(gen.uniform(*log_eps_range))
+        ref = _reference_hmc_update(
+            z_star,
+            lambda q: _reference_log_target_z(q, n_j, mu, tau),
+            cfg,
+            np.random.default_rng(i),
+            eps,
+        )
+        target = frailty_target(z_star, n_j, mu, tau)
+        new = hmc_update(target, cfg, np.random.default_rng(i), step_size=eps)
+        yield ref, new, target
+
+
+def _assert_same_transitions(pairs):
+    outcomes = Counter()
+    for ref, new, target in pairs:
+        assert new[1:3] == ref[1:3]
+        assert np.max(np.abs(new[0] - ref[0])) <= 1e-10 * max(1.0, np.max(np.abs(ref[0])))
+        assert new[3] == pytest.approx(ref[3], abs=1e-9)
+        # the target's current point is the returned one, and its forward
+        # pass is that point's
+        assert new[0] is target.z_star
+        assert np.array_equal(target.w, FrailtyTarget(new[0]).w)
+        outcomes[ref[1:3]] += 1
+    return set(outcomes)
+
+
 class TestMatchesReferenceTransition:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("m", [50, 500, 2000])
+    @pytest.mark.parametrize("m", [50, 500, 2000, 5000])
     def test_same_decisions_and_end_point(self, m):
         # step sizes from 0.01 to 2 give accepted, rejected and divergent
-        # trajectories; each pair of transitions shares its random stream
-        cfg = HmcConfig()
-        gen = np.random.default_rng(m)
-        outcomes = Counter()
-        for i in range(200):
-            z_star = gen.normal(scale=0.3, size=m - 1)
-            n_j = gen.poisson(5.0, size=m).astype(float)
-            mu = gen.normal(scale=0.5, size=m)
-            tau = gen.gamma(2.0, 1.0, size=m)
-            eps = math.exp(gen.uniform(math.log(0.01), math.log(2.0)))
-            ref = _reference_hmc_update(
-                z_star,
-                lambda q: _reference_log_target_z(q, n_j, mu, tau),
-                cfg,
-                np.random.default_rng(i),
-                eps,
-            )
-            new = hmc_update(
-                z_star, *_frailty_target(n_j, mu, tau), cfg,
-                np.random.default_rng(i), step_size=eps,
-            )
-            assert new[1:3] == ref[1:3]
-            assert np.max(np.abs(new[0] - ref[0])) <= 1e-10 * max(1.0, np.max(np.abs(ref[0])))
-            assert new[3] == pytest.approx(ref[3], abs=1e-9)
-            outcomes[ref[1:3]] += 1
-        assert set(outcomes) == {(True, False), (False, False), (False, True)}
+        # trajectories
+        outcomes = _assert_same_transitions(
+            _transition_pairs(m, 0.3, (math.log(0.01), math.log(2.0)))
+        )
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [50, 500, 5000])
+    def test_same_decisions_and_end_point_far_from_the_origin(self, m):
+        # z* at scale 20 puts many sticks deep in the tails of the logistic,
+        # where log(1 - B) = log B - x and the two-branch form round apart.
+        # Out there the target is so steep that a trajectory either falls
+        # toward the mode and is accepted with probability 1 or diverges.
+        outcomes = _assert_same_transitions(
+            _transition_pairs(m, 20.0, (math.log(1e-4), math.log(2.0)))
+        )
+        assert outcomes == {(True, False), (False, True)}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frailplp.hmc import transform, inverse_transform, log_target_z, _frailty_target
+from frailplp.hmc import FrailtyTarget, transform, inverse_transform, log_target_z
 
 
 def numeric_log_jacobian(z_star, eps=1e-6):
@@ -211,7 +211,7 @@ class TestMatchesReferenceKernel:
 
 
 class TestGradientOnlyPath:
-    """The interior leapfrog steps' gradient equals log_target_z's."""
+    """The leapfrog kicks' gradient and end-point density equal log_target_z's."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [2, 3, 50, 500, 5000])
@@ -222,9 +222,16 @@ class TestGradientOnlyPath:
         n_j = rng.poisson(5.0, size=m).astype(float)
         mu = rng.normal(size=m)
         tau = rng.uniform(0.5, 3.0, size=m)
-        logp_grad, grad_only = _frailty_target(n_j, mu, tau)
-        logp, grad = logp_grad(z_star)
-        fast = grad_only(z_star)
+        logp, grad = log_target_z(z_star, n_j, mu, tau)
+        target = FrailtyTarget(np.zeros(m - 1))
+        target.set_atoms(n_j, mu, tau)
+        target.start(1.0, np.zeros(m - 1))  # with eps = 1 a kick adds the gradient itself
+        fast = np.zeros(m - 1)
+        target.kick(z_star, fast)
+        half = np.zeros(m - 1)
+        end_logp = target.finish(z_star, half)
         assert np.isfinite(logp)
         assert np.all(np.isfinite(grad)) and np.all(np.isfinite(fast))
         assert np.all(np.abs(fast - grad) <= 1e-11 * np.maximum(1.0, np.abs(grad)))
+        assert np.array_equal(2.0 * half, fast)
+        assert end_logp == logp
