@@ -13,12 +13,13 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 import warnings
 
 import numpy as np
 
-from .data import ObservationDesign, DatasetError, ingest, summarize, write_dataset
+from .data import ObservationDesign, DatasetError, _write_rows, ingest, summarize, write_dataset
 from .plp import (
     PlpParams,
     PriorConfig,
@@ -118,19 +119,26 @@ def _write_estimates(path, rows):
                 writer.writerow([r.name, f"{r.mean!r}", f"{r.sd!r}", f"{r.ci_low!r}", f"{r.ci_high!r}"])
 
 
-def _write_matrix(path, header, array):
-    """One CSV row per leading index; a 1-D array is a single column.
+def _write_matrix(path, header, *fields):
+    """One CSV row per leading index: the index, then each field's values.
 
-    Values are written as float reprs, one row at a time, with the CRLF line
-    ends of csv.writer.
+    A 1-D field is one column, a 2-D field one column per entry of its second
+    axis.  The index counts from 0; every value is cast to float and written
+    as its shortest round-trip repr (an int count prints as ``3.0``), with the
+    CRLF line ends of csv.writer, by the chunked `data._write_rows`.
     """
-    array = np.asarray(array, dtype=float)
-    if array.ndim == 1:
-        array = array[:, None]
+    fields = [np.asarray(f, dtype=float) for f in fields]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for i, row in enumerate(array):
-            fh.write(f"{i},{','.join(map(repr, row.tolist()))}\r\n")
+        fh.write(",".join(header) + "\r\n")
+        _write_rows(fh, np.arange(len(fields[0])), *fields, end="\r\n")
+
+
+def _design(T, m, K):
+    """The observation design given by command-line flags; a bad one is a config error."""
+    try:
+        return ObservationDesign(T=T, m=m, K=K)
+    except DatasetError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_simulate(args):
@@ -138,7 +146,7 @@ def cmd_simulate(args):
     alpha = _parse_floats(args.alpha)
     if len(beta) != len(alpha):
         raise ConfigError("--beta and --alpha must list the same number of causes")
-    design = ObservationDesign(T=args.T, m=args.m, K=len(beta))
+    design = _design(args.T, args.m, len(beta))
     family = "gamma"
     if args.frailty_mixture:
         parts = _parse_floats(args.frailty_mixture)
@@ -166,7 +174,7 @@ def _read_dataset(args):
     if args.T is not None or args.m is not None or args.K is not None:
         if None in (args.T, args.m, args.K):
             raise ConfigError("design overrides need all of --T, --m, --K")
-        design = ObservationDesign(T=args.T, m=args.m, K=args.K)
+        design = _design(args.T, args.m, args.K)
     with _reading(args.data):
         return ingest(args.data, design)
 
@@ -190,15 +198,14 @@ def cmd_fit(args):
         _write_matrix(
             f"{args.duane_out}.cause{q}.csv",
             ["index", "log_time", "log_count"],
-            np.column_stack([log_t, log_n]),
+            log_t,
+            log_n,
         )
         print(f"duane slope cause {q}: {slope:.4f}")
     return EXIT_OK
 
 
 def cmd_mcmc(args):
-    import os
-
     data = _read_dataset(args)
     summary = summarize(data)
     hyper = DpmHyperparams(
@@ -226,19 +233,19 @@ def cmd_mcmc(args):
     )
     os.makedirs(args.out_dir, exist_ok=True)
     z_hat = trace.z_hat
-    for name, header, array in (
-        ("z_trace.csv", ["iteration"] + [f"z_{j}" for j in range(1, z_hat.size + 1)], trace.z),
-        ("var_z_trace.csv", ["iteration", "var_z"], trace.var_z),
-        ("c_trace.csv", ["iteration", "c"], trace.c),
-        ("acceptance.csv", ["iteration", "accepted"], trace.accepted.astype(int)),
-        ("z_hat.csv", ["system", "z_hat", "n_failures"], np.column_stack([z_hat, summary.n_j])),
-        ("frailty_density.csv", ["index", "z", "density"], np.column_stack([grid, trace.density])),
+    for name, header, fields in (
+        ("z_trace.csv", ["iteration"] + [f"z_{j}" for j in range(1, z_hat.size + 1)], (trace.z,)),
+        ("var_z_trace.csv", ["iteration", "var_z"], (trace.var_z,)),
+        ("c_trace.csv", ["iteration", "c"], (trace.c,)),
+        ("acceptance.csv", ["iteration", "accepted"], (trace.accepted,)),
+        ("z_hat.csv", ["system", "z_hat", "n_failures"], (z_hat, summary.n_j)),
+        ("frailty_density.csv", ["index", "z", "density"], (grid, trace.density)),
     ):
-        _write_matrix(os.path.join(args.out_dir, name), header, array)
+        _write_matrix(os.path.join(args.out_dir, name), header, *fields)
     vz = frailty_variance(trace.post_burn_in(trace.var_z))
     mix_vz = frailty_variance(trace.post_burn_in(trace.mixture_var))
     gw = geweke(trace.post_burn_in(trace.var_z))
-    summary = dict(
+    results = dict(
         iterations=args.iterations,
         burn_in=args.burn_in,
         var_z_mean=vz.mean,
@@ -252,7 +259,7 @@ def cmd_mcmc(args):
         z_hat_mean=float(z_hat.mean()),
     )
     with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(results, fh, indent=2)
         fh.write("\n")
     print(
         f"Var(Z) posterior mean {vz.mean:.3f} sd {vz.sd:.3f} "
@@ -308,7 +315,7 @@ def cmd_benchmark(args):
         params = SCENARIOS[args.scenario]
     else:
         params = PlpParams(beta=_parse_floats(args.beta), alpha=_parse_floats(args.alpha))
-    design = ObservationDesign(T=args.T, m=args.m, K=params.K)
+    design = _design(args.T, args.m, params.K)
     scenario = SimScenario(
         design=design,
         true_params=params,

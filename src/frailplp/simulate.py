@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FailureDataset, ObservationDesign, _read_rows
+from .data import FailureDataset, ObservationDesign, _read_rows, _write_rows
 from .plp import PlpParams
 
 __all__ = [
@@ -145,10 +145,10 @@ def simulate(scenario: SimScenario):
 
 def write_frailties(path, z) -> None:
     """Sidecar file with the true frailty per system."""
+    z = np.asarray(z, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("system_id,z\n")
-        for j, zj in enumerate(np.asarray(z, dtype=float), start=1):
-            fh.write(f"{j},{float(zj)!r}\n")
+        _write_rows(fh, np.arange(1, z.size + 1), z)
 
 
 _FRAILTY_ROW = np.dtype([("system_id", np.int64), ("z", np.float64)])

@@ -60,6 +60,10 @@ def make_dataset(T=20.0, m=2, K=1, events=()):
 
 COLUMNS = ("system_id", "cause", "time")
 
+# floats at repr's format switches: exponent form from 1e16 up and below 1e-4,
+# the smallest subnormal, and the largest float below each switch
+REPR_EDGES = [1e16, 9999999999999998.0, 1e-5, 1e-4, 9.999999999999999e-05, 5e-324, 0.1, 3.0]
+
 
 def same_events(a, b):
     """True when two datasets hold exactly equal columns, dtypes included."""

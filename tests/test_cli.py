@@ -7,12 +7,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from frailplp.cli import main, _write_matrix, EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL
-from frailplp.data import ingest
+from frailplp.data import _CHUNK_VALUES, ingest
 from frailplp.simulate import read_frailties
 
 from conftest import make_dataset
@@ -196,6 +197,38 @@ class TestFit:
     def test_design_override_needs_all_three(self, warranty_csv):
         assert run("fit", "--data", str(warranty_csv), "--m", "500") == EXIT_CONFIG
 
+    def test_bad_design_in_file_metadata_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("# T=20.0\n# m=0\n# K=1\nsystem_id,cause,time\n")
+        assert run("fit", "--data", str(path), "--out", str(tmp_path / "e.csv")) == EXIT_DATA
+        assert "data error: need at least one system" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--m", "0"], "need at least one system"),
+        (["simulate", "--T", "-1"], "truncation time must be positive"),
+        (["simulate", "--T", "nan"], "truncation time must be positive"),
+        (["simulate", "--beta", "", "--alpha", ""], "need at least one failure cause"),
+        (["benchmark", "--m", "0", "--M", "1"], "need at least one system"),
+        (["benchmark", "--T", "-3", "--M", "1"], "truncation time must be positive"),
+        (["fit", "--T", "20", "--m", "0", "--K", "2"], "need at least one system"),
+        (["mcmc", "--T", "inf", "--m", "3", "--K", "1"], "truncation time must be positive"),
+    ],
+)
+def test_bad_design_flags_are_config_error(tmp_path, capsys, fleet_csv, argv, message):
+    command = argv[0]
+    if command in ("fit", "mcmc"):
+        argv = argv + ["--data", str(fleet_csv)]
+    if command in ("simulate", "benchmark"):
+        argv = argv + ["--seed", "1"]
+    out = tmp_path / ("out" if command == "mcmc" else "out.csv")
+    argv += ["--out-dir" if command == "mcmc" else "--out", str(out)]
+    assert run(*argv) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestMcmc:
     @pytest.fixture(scope="class")
@@ -363,6 +396,52 @@ class TestWriteMatrix:
         _write_matrix(tmp_path / "new.csv", header, array)
         self.reference(tmp_path / "ref.csv", header, array)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    # rows per chunk of a one-value-per-row table, whose rows hold the index too
+    CHUNK_ROWS = _CHUNK_VALUES // 2
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.empty(0),
+            np.empty((0, 600)),
+            np.arange(CHUNK_ROWS, dtype=float),
+            np.arange(CHUNK_ROWS - 1, dtype=float) / 7.0,
+            np.arange(CHUNK_ROWS + 1, dtype=float) * 1e-7,
+            np.random.default_rng(1).lognormal(sigma=20.0, size=3 * CHUNK_ROWS + 2),
+            np.random.default_rng(2).normal(size=(_CHUNK_VALUES // 4, 3)),
+            np.array([[1e16, 9999999999999998.0], [1e-5, 1e-4], [9.999999999999999e-05, 5e-324],
+                      [np.inf, np.nan], [-np.inf, -0.0]]),
+            np.array([3, -7, 2**40, 0]),
+            np.arange(60, dtype=np.int64).reshape(20, 3),
+            np.random.default_rng(3).lognormal(size=(3, 600)),
+            np.random.default_rng(4).lognormal(size=(9, _CHUNK_VALUES + 5)),
+        ],
+    )
+    def test_bytes_match_csv_writer_across_chunks(self, tmp_path, array):
+        header = ["index", "values"]
+        _write_matrix(tmp_path / "new.csv", header, array)
+        self.reference(tmp_path / "ref.csv", header, array)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_columns_match_their_stack(self, tmp_path):
+        rng = np.random.default_rng(5)
+        z, counts, block = rng.lognormal(size=700), rng.integers(0, 9, 700), rng.normal(size=(700, 4))
+        header = ["index", "z", "n", "a", "b", "c", "d"]
+        _write_matrix(tmp_path / "new.csv", header, z, counts, block)
+        self.reference(tmp_path / "ref.csv", header, np.column_stack([z, counts, block]))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[1].split(",")[2].endswith(".0")
+
+    def test_wide_trace_writes_in_bounded_memory(self, tmp_path):
+        array = np.random.default_rng(6).lognormal(size=(200, 500))
+        tracemalloc.start()
+        try:
+            _write_matrix(tmp_path / "z.csv", ["iteration"] + [f"z_{j}" for j in range(500)], array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
 
 class TestDiagnose:

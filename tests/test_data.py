@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frailplp.data import (
+    _CHUNK_VALUES,
     _parse_metadata,
     ObservationDesign,
     FailureDataset,
@@ -17,8 +19,10 @@ from frailplp.data import (
     summarize,
     write_dataset,
 )
+from frailplp.plp import PlpParams
+from frailplp.simulate import SimScenario, simulate
 
-from conftest import COLUMNS, make_dataset, same_events
+from conftest import COLUMNS, REPR_EDGES, make_dataset, same_events
 
 
 class TestValidation:
@@ -216,6 +220,52 @@ class TestFileRoundTrip:
         data = ingest(path)
         assert len(data) == 1
         assert (data.system_id[0], data.cause[0], data.time[0]) == (1, 1, 5.0)
+
+
+def reference_write_dataset(path, data):
+    """The per-row writer that the chunked writer replaced, kept as the oracle."""
+    d = data.design
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# T={d.T!r}\n# m={d.m}\n# K={d.K}\n")
+        fh.write("system_id,cause,time\n")
+        rows = zip(data.system_id.tolist(), data.cause.tolist(), data.time.tolist())
+        fh.writelines(f"{j},{q},{t!r}\n" for j, q, t in rows)
+
+
+DATASET_CHUNK_ROWS = _CHUNK_VALUES // 3
+
+
+class TestWriteDataset:
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, DATASET_CHUNK_ROWS - 1, DATASET_CHUNK_ROWS, DATASET_CHUNK_ROWS + 1,
+         3 * DATASET_CHUNK_ROWS + 2],
+    )
+    def test_bytes_match_per_row_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        time = np.concatenate([REPR_EDGES, rng.lognormal(sigma=12.0, size=n)])[:n]
+        design = ObservationDesign(T=1e300, m=997 * max(n, 1), K=3)
+        data = FailureDataset(design, 997 * np.arange(1, n + 1), rng.integers(1, 4, n), time)
+        write_dataset(tmp_path / "new.csv", data)
+        reference_write_dataset(tmp_path / "ref.csv", data)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_large_fleet_writes_in_bounded_memory(self, tmp_path):
+        scenario = SimScenario(
+            design=ObservationDesign(T=20.0, m=5000, K=2),
+            true_params=PlpParams(beta=np.array([1.2, 0.7]), alpha=np.array([5.0, 13.33])),
+            eta=0.5,
+            seed=11,
+        )
+        data, _ = simulate(scenario)
+        assert len(data) > 80_000
+        tracemalloc.start()
+        try:
+            write_dataset(tmp_path / "fleet.csv", data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def reference_ingest(path, design=None):

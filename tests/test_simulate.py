@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from frailplp.data import ObservationDesign, summarize
+from frailplp.data import _CHUNK_VALUES, ObservationDesign, summarize
 from frailplp.plp import PlpParams
 from frailplp.simulate import (
     FrailtyMixture,
@@ -15,7 +15,7 @@ from frailplp.simulate import (
     read_frailties,
 )
 
-from conftest import COLUMNS, same_events
+from conftest import COLUMNS, REPR_EDGES, same_events
 
 
 def scenario(m=50, K=2, beta=(1.2, 0.7), alpha=(5.0, 13.33), **kw):
@@ -169,7 +169,33 @@ class TestReproducibility:
             assert np.array_equal(getattr(large, name)[keep], getattr(small, name))
 
 
+def reference_write_frailties(path, z):
+    """The per-row writer that the chunked writer replaced, kept as the oracle."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("system_id,z\n")
+        for j, zj in enumerate(np.asarray(z, dtype=float), start=1):
+            fh.write(f"{j},{float(zj)!r}\n")
+
+
+SIDECAR_CHUNK_ROWS = _CHUNK_VALUES // 2
+
+
 class TestSidecar:
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, SIDECAR_CHUNK_ROWS - 1, SIDECAR_CHUNK_ROWS, SIDECAR_CHUNK_ROWS + 1,
+         3 * SIDECAR_CHUNK_ROWS + 2],
+    )
+    def test_bytes_match_per_row_writer(self, tmp_path, n):
+        z = np.concatenate([REPR_EDGES, np.random.default_rng(n).lognormal(sigma=12.0, size=n)])[:n]
+        write_frailties(tmp_path / "new.csv", z)
+        reference_write_frailties(tmp_path / "ref.csv", z)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_int_frailties_written_as_floats(self, tmp_path):
+        write_frailties(tmp_path / "new.csv", [1, 2, 3])
+        assert (tmp_path / "new.csv").read_text() == "system_id,z\n1,1.0\n2,2.0\n3,3.0\n"
+
     def test_round_trip_exact(self, tmp_path):
         z = draw_frailties(scenario(m=23, eta=0.7, seed=17))
         path = tmp_path / "truth.csv"
