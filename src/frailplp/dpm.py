@@ -38,7 +38,7 @@ __all__ = [
     "frailty_variance",
 ]
 
-# (lo, hi, points) of the frailty-density grid when none is given
+# (lo, hi, points) of the frailty-density grid of the mcmc command
 DEFAULT_GRID = (0.02, 6.0, 300)
 
 
@@ -141,7 +141,7 @@ def update_concentration(state: DpmState, m: int, hyper: DpmHyperparams, rng):
     shape_hi = hyper.ac0 + k
     odds = (hyper.ac0 + k - 1.0) / (m * rate)
     p_hi = odds / (1.0 + odds)
-    shape = shape_hi if rng.uniform() < p_hi else shape_hi - 1.0
+    shape = shape_hi if rng.random() < p_hi else shape_hi - 1.0
     state.c = rng.gamma(shape=shape, scale=1.0 / rate)
     return xi, state.c
 
@@ -160,7 +160,7 @@ def update_sticks(state: DpmState, rng):
 
 def update_slices(state: DpmState, rng):
     """u_j ~ Uniform(0, rho_{Y_j}]; keeps the admissible level set finite."""
-    state.u = rng.uniform(size=state.y.size) * state.rho[state.y]
+    state.u = rng.random(state.y.size) * state.rho[state.y]
     return state.u
 
 
@@ -235,7 +235,7 @@ class McmcTrace:
     of its atoms (inf beyond the float range).  Only its quantiles mean
     anything: exp(2 mu + 2 / tau) has no finite posterior mean when tau is
     gamma-distributed.  density is the frailty density on run_chain's grid,
-    averaged over the post-burn-in states.
+    averaged over the post-burn-in states, or None when no grid was given.
     """
 
     z: np.ndarray
@@ -245,7 +245,7 @@ class McmcTrace:
     n_clusters: np.ndarray
     accepted: np.ndarray
     step_sizes: np.ndarray
-    density: np.ndarray
+    density: np.ndarray | None
     burn_in: int
     divergences: int = 0
 
@@ -287,9 +287,9 @@ def run_chain(
     Only c, the allocations and Z carry between sweeps; the sticks, slices
     and atoms are redrawn from their conditionals in each.  Step size is
     dual-averaged toward the target acceptance during burn-in and frozen
-    afterwards.  Each sweep records the mixture variance, and
-    each post-burn-in sweep adds its frailty density on grid (by default
-    np.linspace(*DEFAULT_GRID)) to the running mean.
+    afterwards.  Each sweep records the mixture variance.  Given a grid,
+    each post-burn-in sweep adds its frailty density on it to a running
+    mean; without one, no density is evaluated and the trace's is None.
 
     The HMC move runs on one FrailtyTarget for the whole chain: it starts
     from the forward pass of the current frailties, and an accepted end
@@ -302,8 +302,10 @@ def run_chain(
     m = summary.design.m
     if m < 2:
         raise ValueError("frailty estimation needs at least two systems")
-    grid = _positive_grid(np.linspace(*DEFAULT_GRID) if grid is None else grid)
-    log_grid = np.log(grid)
+    if grid is not None:
+        grid = _positive_grid(grid)
+        log_grid = np.log(grid)
+        density = np.zeros_like(grid)
     n_j = summary.n_j.astype(float)
     hmc = hmc or HmcConfig()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
@@ -316,7 +318,6 @@ def run_chain(
     z_draws = np.empty((iterations, m))
     var_z = np.empty(iterations)
     mixture_var = np.empty(iterations)
-    density = np.zeros_like(grid)
     c_draws = np.empty(iterations)
     n_clusters = np.empty(iterations, dtype=int)
     accepted = np.zeros(iterations, dtype=bool)
@@ -350,7 +351,7 @@ def run_chain(
         n_clusters[it] = state.n_occupied
         accepted[it] = acc
         step_sizes[it] = step
-        if it >= burn_in:
+        if grid is not None and it >= burn_in:
             density += log_frailty_density(grid, state.rho, state.mu, state.tau, log_grid)
 
     return McmcTrace(
@@ -361,7 +362,7 @@ def run_chain(
         n_clusters=n_clusters,
         accepted=accepted,
         step_sizes=step_sizes,
-        density=density / (iterations - burn_in),
+        density=None if grid is None else density / (iterations - burn_in),
         burn_in=burn_in,
         divergences=divergences,
     )

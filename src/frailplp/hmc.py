@@ -259,7 +259,7 @@ def hmc_update(target, config: HmcConfig, rng, step_size=None):
     """
     eps = config.step_size if step_size is None else step_size
     if config.step_jitter > 0:
-        eps = eps * (1.0 + config.step_jitter * (2.0 * rng.uniform() - 1.0))
+        eps = eps * (1.0 + config.step_jitter * (2.0 * rng.random() - 1.0))
     p0 = rng.standard_normal(target.z_star.size)
     with np.errstate(over="ignore", invalid="ignore"):
         q1, p1, logp0, logp1 = leapfrog(target, p0, eps, config.leapfrog_steps)
@@ -268,7 +268,7 @@ def hmc_update(target, config: HmcConfig, rng, step_size=None):
     if not math.isfinite(h1) or delta < -1000.0:
         return target.z_star, False, True, 0.0
     accept_prob = min(1.0, math.exp(min(0.0, delta)))
-    if rng.uniform() < accept_prob:
+    if rng.random() < accept_prob:
         target.accept(q1)
         return q1, True, False, accept_prob
     return target.z_star, False, False, accept_prob

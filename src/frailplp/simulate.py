@@ -5,6 +5,12 @@ per system, then per (system, cause) a Poisson count with mean z_j * alpha_q,
 then place the failure times as T * U^(1/beta_q) for uniform order statistics
 U.  Per-system RNG substreams keyed by (seed, system_id) make generation
 deterministic and embarrassingly parallel.
+
+Substream (seed, 0) draws the frailty vector.  Substream (seed, j), for
+system j = 1..m, is consumed cause by cause: one Poisson count n_jq, then
+n_jq standard uniforms, for q = 1..K in turn, and nothing else.  So a
+system's history depends only on the seed, its own frailty and the per-cause
+parameters, and growing the fleet leaves the existing systems unchanged.
 """
 
 from __future__ import annotations
@@ -115,32 +121,51 @@ def draw_frailties(scenario: SimScenario) -> np.ndarray:
     return z
 
 
-def _simulate_system(rng, z_j, params: PlpParams, T):
-    """Per cause in turn: a Poisson count, then that many conditional-uniform times.
-
-    Returns the per-cause counts and the times grouped by cause, unsorted.
-    """
-    counts = np.empty(params.K, dtype=int)
-    times = []
-    for q in range(params.K):
-        counts[q] = rng.poisson(z_j * params.alpha[q])
-        times.append(T * rng.uniform(size=counts[q]) ** (1.0 / params.beta[q]))
-    return counts, np.concatenate(times)
-
-
 def simulate(scenario: SimScenario):
-    """Generate a fleet; returns (FailureDataset, true frailty vector)."""
+    """Generate a fleet; returns (FailureDataset, true frailty vector).
+
+    Each system's uniforms go, in stream order, into one fleet-wide buffer
+    sized from the expected event count and grown only when a fleet exceeds
+    it; the times are then formed with one power per cause.
+    """
     d = scenario.design
+    params = scenario.true_params
     z = draw_frailties(scenario)
-    counts = np.empty((d.m, d.K), dtype=int)
-    times = []
-    for j in range(d.m):
-        rng = _stream(scenario.seed, j + 1)
-        counts[j], t = _simulate_system(rng, z[j], scenario.true_params, d.T)
-        times.append(t)
+    rates = np.multiply.outer(z, params.alpha)
+    buf = np.empty(_first_capacity(rates.sum()))
+    end = 0
+    counts = []
+    for j, rates_j in enumerate(rates.tolist(), start=1):
+        rng = _stream(scenario.seed, j)
+        for rate in rates_j:
+            n = rng.poisson(rate)
+            counts.append(n)
+            if n:
+                if end + n > buf.size:
+                    buf = _grow(buf, end, end + n)
+                rng.random(out=buf[end : end + n])
+                end += n
+    counts = np.array(counts).reshape(d.m, d.K)
     system_id = np.repeat(np.arange(1, d.m + 1), counts.sum(axis=1))
     cause = np.repeat(np.tile(np.arange(1, d.K + 1), d.m), counts.ravel())
-    return FailureDataset(d, system_id, cause, np.concatenate(times)), z
+    u = buf[:end]
+    time = np.empty(end)
+    for q in range(d.K):
+        of_q = cause == q + 1
+        time[of_q] = d.T * u[of_q] ** (1.0 / params.beta[q])
+    return FailureDataset(d, system_id, cause, time), z
+
+
+def _first_capacity(mean):
+    """Buffer length for a Poisson(mean) event count: the mean plus four sd."""
+    return int(mean + 4.0 * mean**0.5) + 16
+
+
+def _grow(buf, used, need):
+    """A larger buffer holding buf[:used]; at least `need` long."""
+    grown = np.empty(max(need, used + used // 2))
+    grown[:used] = buf[:used]
+    return grown
 
 
 def write_frailties(path, z) -> None:

@@ -71,3 +71,17 @@ def same_events(a, b):
         getattr(a, c).dtype == getattr(b, c).dtype and np.array_equal(getattr(a, c), getattr(b, c))
         for c in COLUMNS
     )
+
+
+class UniformDraws:
+    """A generator whose random() draws through uniform(0, 1), the call the
+    sampler used before; every other method is the wrapped generator's."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, size=None):
+        return self.rng.uniform(size=size)

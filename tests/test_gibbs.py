@@ -31,6 +31,8 @@ from frailplp.dpm import (
 )
 from frailplp import dpm
 
+from conftest import UniformDraws
+
 
 def make_state(m=6, levels=4, y=None, c=1.0, seed=0, z=None):
     rng = np.random.default_rng(seed)
@@ -269,6 +271,24 @@ class TestSlicesAndLevels:
         assert state.nu.size == state.mu.size == state.tau.size
 
 
+class TestUniformDraws:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_concentration_and_slices_draw_as_uniform_calls(self, seed):
+        # random() returns the doubles of uniform(0, 1) and advances the
+        # stream alike
+        y = np.random.default_rng(seed).integers(0, 4, size=30)
+        runs = []
+        for rng in (np.random.default_rng(seed), UniformDraws(seed)):
+            state = make_state(m=30, levels=4, y=y, c=0.7, seed=seed)
+            xi_c = update_concentration(state, 30, DpmHyperparams(), rng)
+            u = update_slices(state, rng)
+            runs.append((xi_c, u, rng.bit_generator.state))
+        (xi_c, u, state), (old_xi_c, old_u, old_state) = runs
+        assert xi_c == old_xi_c
+        assert np.array_equal(u, old_u)
+        assert state == old_state
+
+
 class TestAtoms:
     def test_single_observation_posterior_parameters(self):
         # prior (m0=0, s0=1, d0=1, p0=1) with one log-frailty w = 2 in the
@@ -415,7 +435,8 @@ class TestChain:
             normalize_frailties=True,
         )
         data, z = simulate(scen)
-        return run_chain(summarize(data), iterations=1500, burn_in=500, seed=5), z
+        grid = np.linspace(*DEFAULT_GRID)
+        return run_chain(summarize(data), iterations=1500, burn_in=500, seed=5, grid=grid), z
 
     def test_frailty_mean_constraint_every_iteration(self, trace):
         tr, _ = trace
@@ -478,7 +499,7 @@ class TestChain:
             )
         )
         summary = summarize(data)
-        reference = run_chain(summary, iterations=80, burn_in=30, seed=2)
+        reference = run_chain(summary, iterations=80, burn_in=30, seed=2, grid=np.linspace(*DEFAULT_GRID))
         init = dpm._init_state
 
         def nan_levels(m):
@@ -487,7 +508,7 @@ class TestChain:
             return state
 
         monkeypatch.setattr(dpm, "_init_state", nan_levels)
-        again = run_chain(summary, iterations=80, burn_in=30, seed=2)
+        again = run_chain(summary, iterations=80, burn_in=30, seed=2, grid=np.linspace(*DEFAULT_GRID))
         for f in dataclasses.fields(again):
             assert np.array_equal(getattr(again, f.name), getattr(reference, f.name)), f.name
 
@@ -579,6 +600,29 @@ class TestDensity:
         tr = run_chain(summarize(data), iterations=60, burn_in=20, seed=1, grid=grid)
         assert len(calls) == 60 - 20
         assert np.allclose(tr.density, np.mean(calls, axis=0), rtol=1e-14, atol=0.0)
+
+    def test_chain_without_a_grid_evaluates_no_density(self, monkeypatch):
+        data, _ = simulate(
+            SimScenario(
+                design=ObservationDesign(T=20.0, m=10, K=1),
+                true_params=PlpParams(beta=np.array([1.0]), alpha=np.array([5.0])),
+                eta=0.5,
+                seed=2,
+            )
+        )
+        summary = summarize(data)
+        with_grid = run_chain(summary, iterations=60, burn_in=20, seed=1, grid=np.linspace(0.1, 3.0, 50))
+
+        def no_density(*args):
+            raise AssertionError("the density was evaluated")
+
+        monkeypatch.setattr(dpm, "log_frailty_density", no_density)
+        tr = run_chain(summary, iterations=60, burn_in=20, seed=1)
+        assert tr.density is None
+        # the grid is only read, so the chain itself is the same
+        for f in dataclasses.fields(tr):
+            if f.name != "density":
+                assert np.array_equal(getattr(tr, f.name), getattr(with_grid, f.name)), f.name
 
     @pytest.mark.parametrize("grid", [np.array([0.0, 1.0]), np.array([np.nan]), np.empty(0)])
     def test_chain_rejects_a_bad_grid_before_sweeping(self, monkeypatch, grid):

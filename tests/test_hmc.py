@@ -15,6 +15,8 @@ from frailplp.hmc import (
     hmc_update,
 )
 
+from conftest import UniformDraws
+
 
 class Gauss:
     """A fixed smooth target for kernel-level checks: standard normal in z*,
@@ -374,3 +376,25 @@ class TestMatchesReferenceTransition:
             _transition_pairs(m, 20.0, (math.log(1e-4), math.log(2.0)))
         )
         assert outcomes == {(True, False), (False, True)}
+
+
+class TestUniformDraws:
+    def test_same_transition_and_stream_as_uniform_calls(self):
+        # random() returns the doubles of uniform(0, 1) and advances the
+        # stream alike, for the step jitter and the accept test
+        cfg = HmcConfig(step_jitter=0.3, leapfrog_steps=5)
+        gen = np.random.default_rng(0)
+        outcomes = set()
+        for seed in range(40):
+            z_star = gen.normal(scale=0.3, size=9)
+            eps = math.exp(gen.uniform(math.log(0.05), math.log(1.5)))
+            moves = []
+            for rng in (np.random.default_rng(seed), UniformDraws(seed)):
+                target = frailty_target(z_star.copy(), np.full(10, 3.0), np.zeros(10), np.ones(10))
+                moves.append((hmc_update(target, cfg, rng, step_size=eps), rng.bit_generator.state))
+            (new, state), (old, old_state) = moves
+            assert np.array_equal(new[0], old[0])
+            assert new[1:] == old[1:]
+            assert state == old_state
+            outcomes.add(new[1])
+        assert outcomes == {True, False}

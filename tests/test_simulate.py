@@ -1,10 +1,12 @@
 """Synthetic data generation: distributions, determinism, substreams."""
 
+import importlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from frailplp.data import _CHUNK_VALUES, ObservationDesign, summarize
+from frailplp.data import _CHUNK_VALUES, FailureDataset, ObservationDesign, summarize
 from frailplp.plp import PlpParams
 from frailplp.simulate import (
     FrailtyMixture,
@@ -16,6 +18,9 @@ from frailplp.simulate import (
 )
 
 from conftest import COLUMNS, REPR_EDGES, same_events
+
+# the package exports the simulate function under the module's name
+simulate_module = importlib.import_module("frailplp.simulate")
 
 
 def scenario(m=50, K=2, beta=(1.2, 0.7), alpha=(5.0, 13.33), **kw):
@@ -167,6 +172,92 @@ class TestReproducibility:
         keep = large.system_id <= 10
         for name in COLUMNS:
             assert np.array_equal(getattr(large, name)[keep], getattr(small, name))
+
+
+def reference_simulate(scenario):
+    """The per-system loop that the fleet-wide uniform buffer replaced, kept as the oracle."""
+    d, params = scenario.design, scenario.true_params
+    z = draw_frailties(scenario)
+    counts = np.empty((d.m, d.K), dtype=int)
+    times = []
+    for j in range(d.m):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(j + 1,)))
+        system_times = []
+        for q in range(d.K):
+            counts[j, q] = rng.poisson(z[j] * params.alpha[q])
+            system_times.append(d.T * rng.uniform(size=counts[j, q]) ** (1.0 / params.beta[q]))
+        times.append(np.concatenate(system_times))
+    system_id = np.repeat(np.arange(1, d.m + 1), counts.sum(axis=1))
+    cause = np.repeat(np.tile(np.arange(1, d.K + 1), d.m), counts.ravel())
+    return FailureDataset(d, system_id, cause, np.concatenate(times)), z
+
+
+def assert_same_fleet(scen):
+    (data, z), (ref, z_ref) = simulate(scen), reference_simulate(scen)
+    assert np.array_equal(z, z_ref)
+    for name in COLUMNS:
+        assert getattr(data, name).dtype == getattr(ref, name).dtype
+        assert np.array_equal(getattr(data, name), getattr(ref, name)), name
+    return data
+
+
+BIMODAL = FrailtyMixture(
+    weights=np.array([0.5, 0.5]), mu=np.array([-1.5, 0.5]), sigma=np.array([0.2, 0.2])
+)
+
+
+class TestMatchesPerSystemLoop:
+    # exponents 1/beta of 2, 1 and 0.5 take numpy's scalar-power fast paths
+    @pytest.mark.parametrize("m", [1, 2, 50, 500])
+    @pytest.mark.parametrize(
+        "beta", [(0.5,), (1.0,), (2.0,), (1.2, 0.7), (2.0, 0.5), (0.5, 1.0, 2.0)]
+    )
+    def test_same_fleet(self, m, beta):
+        alpha = (5.0, 13.33, 2.5)[: len(beta)]
+        for seed in (1, 2, 3):
+            assert_same_fleet(scenario(m=m, K=len(beta), beta=beta, alpha=alpha, eta=0.5, seed=seed))
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("family", ["gamma", "degenerate", BIMODAL])
+    def test_same_fleet_for_each_frailty_family(self, family, normalize):
+        for seed in (4, 5):
+            assert_same_fleet(
+                scenario(m=60, K=3, beta=(1.3, 0.5, 2.0), alpha=(4.0, 9.0, 0.7), eta=0.8,
+                         frailty_family=family, seed=seed, normalize_frailties=normalize)
+            )
+
+    def test_same_fleet_when_most_systems_have_no_events(self):
+        for seed in (6, 7):
+            data = assert_same_fleet(
+                scenario(m=200, beta=(1.2, 0.7), alpha=(0.03, 0.02), eta=1.5, seed=seed)
+            )
+            assert 0 < np.unique(data.system_id).size < 200 // 10
+
+    def test_same_fleet_with_no_events_at_all(self):
+        data = assert_same_fleet(scenario(m=3, K=1, beta=(1.0,), alpha=(1e-9,), seed=8))
+        assert len(data) == 0
+
+    @pytest.mark.parametrize("first", [0, 1, 40])
+    def test_same_fleet_when_the_buffer_grows(self, monkeypatch, first):
+        grown = []
+        grow = simulate_module._grow
+
+        def counted(buf, used, need):
+            grown.append(need)
+            return grow(buf, used, need)
+
+        monkeypatch.setattr(simulate_module, "_first_capacity", lambda mean: first)
+        monkeypatch.setattr(simulate_module, "_grow", counted)
+        assert_same_fleet(scenario(m=50, eta=0.5, seed=9))
+        assert len(grown) > 1
+
+    def test_first_capacity_covers_a_typical_fleet(self):
+        # the buffer is sized so that the usual fleet never copies it
+        for seed in range(10):
+            scen = scenario(m=500, eta=0.5, seed=seed)
+            z = draw_frailties(scen)
+            data, _ = simulate(scen)
+            assert len(data) <= simulate_module._first_capacity(z.sum() * (5.0 + 13.33))
 
 
 def reference_write_frailties(path, z):
