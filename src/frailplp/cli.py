@@ -70,22 +70,27 @@ def _load_config_file(path):
 def _parse_args(argv):
     """Parse argv; values from a --config file become the command's defaults.
 
-    argparse then resolves every flag given on the command line, abbreviated
-    or not, over the file, and converts the file's strings with each flag's type.
+    A first pass, with no flag required, finds the command and its file; a
+    flag the file gives is then no longer required.  argparse resolves every
+    flag given on the command line, abbreviated or not, over the file, and
+    converts the file's strings with each flag's type.
     """
     parser = build_parser()
+    required = [a for p in parser.commands.values() for a in p._actions if a.required]
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
-    if not args.config:
-        return args
     command = parser.commands[args.command]
     defaults = {}
-    for key, value in _load_config_file(args.config).items():
+    for key, value in (_load_config_file(args.config) if args.config else {}).items():
         if not hasattr(args, key):
             continue
         if isinstance(command.get_default(key), bool):
             value = value.lower() in ("1", "true", "yes")
         defaults[key] = value
     command.set_defaults(**defaults)
+    for action in required:
+        action.required = action.dest not in defaults
     return parser.parse_args(argv)
 
 

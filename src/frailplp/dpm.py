@@ -8,8 +8,10 @@ atoms are normal-gamma; the constrained Z itself moves by HMC on its
 unconstrained representation.
 
 The chain's Markov state is the concentration c, the allocations Y and the
-frailties Z* alone.  Each sweep draws the sticks, slices and atoms afresh
+frailties alone.  Each sweep draws the sticks, slices and atoms afresh
 from their conditionals given those three, so no level value crosses a sweep.
+The frailties are held as their log-frailties w; the unconstrained point the
+HMC move runs on is owned by the chain's FrailtyTarget.
 """
 
 from __future__ import annotations
@@ -68,21 +70,22 @@ def _no_levels():
 
 @dataclass
 class DpmState:
-    """Mutable sampler state: the carried c, y and z_star, and one sweep's levels.
+    """Mutable sampler state: the carried c, y and w, and one sweep's levels.
 
-    Only the concentration c, the 0-based allocations y and the constrained
-    frailties z_star carry from one sweep to the next.  The sticks nu, slices
-    u and atoms (mu, tau) are drawn afresh within each sweep, so they start
-    empty; l_star is the number of levels instantiated.  Two values are
-    derived once each time their source is assigned: the weights rho from
-    nu, and the log-frailties w from z_star.  w comes from the log-space
-    sticks, so it stays finite where the frailties z = exp(w) underflow to 0.
+    Only the concentration c, the 0-based allocations y and the log-frailties
+    w carry from one sweep to the next.  The sticks nu with their weights
+    rho = stick_break(nu), the slices u and the atoms (mu, tau) are drawn
+    afresh within each sweep, so they start empty; l_star is the number of
+    levels instantiated.  A plain record: whoever sets nu sets rho with it,
+    and w is the forward pass of the HMC target's current point, so it stays
+    finite where the frailties z = exp(w) underflow to 0.
     """
 
     c: float
     y: np.ndarray
-    z_star: np.ndarray
+    w: np.ndarray
     nu: np.ndarray = field(default_factory=_no_levels)
+    rho: np.ndarray = field(default_factory=_no_levels)
     mu: np.ndarray = field(default_factory=_no_levels)
     tau: np.ndarray = field(default_factory=_no_levels)
     u: np.ndarray = field(default_factory=_no_levels)
@@ -90,23 +93,6 @@ class DpmState:
     @property
     def l_star(self):
         return self.nu.size
-
-    @property
-    def z(self):
-        return np.exp(self.w)
-
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name == "z_star":
-            super().__setattr__("w", FrailtyTarget(value).w)
-        elif name == "nu":
-            super().__setattr__("rho", stick_break(value))
-
-    def _set_derived(self, **values):
-        """Assign a source together with the value derived from it (z_star
-        with w, nu with rho) when the caller already holds both."""
-        for name, value in values.items():
-            super().__setattr__(name, value)
 
     def level_counts(self):
         return np.bincount(self.y, minlength=self.l_star)
@@ -155,6 +141,7 @@ def update_sticks(state: DpmState, rng):
     """
     counts = np.bincount(state.y)
     state.nu = rng.beta(1.0 + counts, state.c + state.y.size - np.cumsum(counts))
+    state.rho = stick_break(state.nu)
     return state.nu
 
 
@@ -181,9 +168,8 @@ def extend_levels(state: DpmState, rng):
         rho.append(nu[-1] * rem)
         rem *= 1.0 - nu[-1]
     if nu:
-        state._set_derived(
-            nu=np.concatenate((state.nu, nu)), rho=np.concatenate((state.rho, rho))
-        )
+        state.nu = np.concatenate((state.nu, nu))
+        state.rho = np.concatenate((state.rho, rho))
     return state.l_star
 
 
@@ -242,9 +228,7 @@ class McmcTrace:
     var_z: np.ndarray
     mixture_var: np.ndarray
     c: np.ndarray
-    n_clusters: np.ndarray
     accepted: np.ndarray
-    step_sizes: np.ndarray
     density: np.ndarray | None
     burn_in: int
     divergences: int = 0
@@ -266,9 +250,9 @@ class McmcTrace:
         return float(self.accepted[self.burn_in :].mean())
 
 
-def _init_state(m):
-    """c = 1, every system on the first level, all frailties one; no levels."""
-    return DpmState(c=1.0, y=np.zeros(m, dtype=int), z_star=np.zeros(m - 1))
+def _init_state(w):
+    """c = 1, every system on the first level, log-frailties w; no levels."""
+    return DpmState(c=1.0, y=np.zeros(w.size, dtype=int), w=w)
 
 
 def run_chain(
@@ -291,9 +275,9 @@ def run_chain(
     each post-burn-in sweep adds its frailty density on it to a running
     mean; without one, no density is evaluated and the trace's is None.
 
-    The HMC move runs on one FrailtyTarget for the whole chain: it starts
-    from the forward pass of the current frailties, and an accepted end
-    point's forward pass gives the state its new log-frailties.
+    The HMC move runs on one FrailtyTarget for the whole chain, started at
+    z* = 0 (all frailties one): its forward pass gives the state its first
+    log-frailties, and an accepted end point's forward pass the new ones.
     """
     if burn_in < 0:
         raise ValueError("burn_in must not be negative")
@@ -310,8 +294,8 @@ def run_chain(
     hmc = hmc or HmcConfig()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
 
-    state = _init_state(m)
-    target = FrailtyTarget(state.z_star)
+    target = FrailtyTarget(np.zeros(m - 1))
+    state = _init_state(target.w)
     adapter = DualAveraging(hmc.step_size, target=hmc.target_accept) if hmc.adapt else None
     step = hmc.step_size
 
@@ -319,9 +303,7 @@ def run_chain(
     var_z = np.empty(iterations)
     mixture_var = np.empty(iterations)
     c_draws = np.empty(iterations)
-    n_clusters = np.empty(iterations, dtype=int)
     accepted = np.zeros(iterations, dtype=bool)
-    step_sizes = np.empty(iterations)
     divergences = 0
 
     for it in range(iterations):
@@ -333,9 +315,9 @@ def run_chain(
         update_allocations(state, rng)
 
         target.set_atoms(n_j, state.mu[state.y], state.tau[state.y])
-        z_star, acc, divergent, accept_prob = hmc_update(target, hmc, rng, step_size=step)
+        _, acc, divergent, accept_prob = hmc_update(target, hmc, rng, step_size=step)
         if acc:
-            state._set_derived(z_star=z_star, w=target.w)
+            state.w = target.w
         if divergent:
             divergences += 1
         if adapter is not None:
@@ -348,9 +330,7 @@ def run_chain(
         var_z[it] = float(dev @ dev) / (m - 1)
         mixture_var[it] = _mixture_var(state.rho, state.mu, state.tau)
         c_draws[it] = state.c
-        n_clusters[it] = state.n_occupied
         accepted[it] = acc
-        step_sizes[it] = step
         if grid is not None and it >= burn_in:
             density += log_frailty_density(grid, state.rho, state.mu, state.tau, log_grid)
 
@@ -359,9 +339,7 @@ def run_chain(
         var_z=var_z,
         mixture_var=mixture_var,
         c=c_draws,
-        n_clusters=n_clusters,
         accepted=accepted,
-        step_sizes=step_sizes,
         density=None if grid is None else density / (iterations - burn_in),
         burn_in=burn_in,
         divergences=divergences,

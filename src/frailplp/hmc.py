@@ -49,10 +49,14 @@ __all__ = [
     "FrailtyTarget",
     "transform",
     "inverse_transform",
-    "log_target_z",
     "leapfrog",
     "hmc_update",
 ]
+
+
+# each transition draws its step size uniformly from (1 +- STEP_JITTER) times
+# the nominal one, so that the trajectory length varies from move to move
+STEP_JITTER = 0.2
 
 
 @dataclass
@@ -61,7 +65,6 @@ class HmcConfig:
 
     step_size: float = 0.1
     leapfrog_steps: int = 20
-    step_jitter: float = 0.2
     adapt: bool = True
     target_accept: float = 0.8
 
@@ -70,8 +73,6 @@ class HmcConfig:
             raise ValueError("step size must be finite and positive")
         if self.leapfrog_steps < 1:
             raise ValueError("need at least one leapfrog step")
-        if not 0.0 <= self.step_jitter < 1.0:
-            raise ValueError("step jitter must lie in [0, 1)")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target acceptance must lie in (0, 1)")
 
@@ -86,6 +87,10 @@ def _offsets(m):
 
 class FrailtyTarget:
     """The log density of z* given the allocations and atoms, at a current point.
+
+    The target is |J(z*)| prod_j LN(z_j | mu_{Y_j}, 1/tau_{Y_j}) z_j^{n_j}, i.e.
+    per system (n_j - 1) w_j - tau_j/2 (w_j - mu_j)^2 with w = log z, plus
+    the log-Jacobian; additive constants of the normal densities are dropped.
 
     z_star is the current point and log_b, w its forward pass; none of the
     three is written to once handed out.  set_atoms fixes the counts and the
@@ -208,22 +213,6 @@ def inverse_transform(z):
     return np.log(b) - np.log1p(-b) + _offsets(m)[0]
 
 
-def log_target_z(z_star, n_j, mu_y, tau_y):
-    """Log conditional density of z* given allocations, with its gradient.
-
-    Target: |J(z*)| * prod_j LN(z_j | mu_{Y_j}, 1/tau_{Y_j}) * prod_j z_j^{n_j},
-    i.e. per system (n_j - 1) w_j - tau_j/2 (w_j - mu_j)^2 with w = log z,
-    plus the log-Jacobian.  The gradient is exact; additive constants in the
-    normal densities are dropped.
-    """
-    target = FrailtyTarget(z_star)
-    target.set_atoms(n_j, mu_y, tau_y)
-    half_grad = np.zeros(target.z_star.size)
-    # with eps = 1 the start kick adds half the gradient, and halving is exact
-    logp = target.start(1.0, half_grad)
-    return logp, 2.0 * half_grad
-
-
 def leapfrog(target, p, eps, n_steps):
     """Leapfrog integration of Hamiltonian dynamics (identity mass) from the
     target's current point with momentum p.
@@ -252,14 +241,14 @@ def hmc_update(target, config: HmcConfig, rng, step_size=None):
     """One HMC transition from the target's current point; returns
     (new z*, accepted, divergent, accept prob).
 
+    The step size is drawn uniformly from (1 +- STEP_JITTER) times the given one.
     An accepted end point becomes the target's current point.  A trajectory
     whose end-point energy is not finite, as any overflow along it makes it,
     is reported as divergent, so floating-point warnings along it are
     silenced.
     """
     eps = config.step_size if step_size is None else step_size
-    if config.step_jitter > 0:
-        eps = eps * (1.0 + config.step_jitter * (2.0 * rng.random() - 1.0))
+    eps = eps * (1.0 + STEP_JITTER * (2.0 * rng.random() - 1.0))
     p0 = rng.standard_normal(target.z_star.size)
     with np.errstate(over="ignore", invalid="ignore"):
         q1, p1, logp0, logp1 = leapfrog(target, p0, eps, config.leapfrog_steps)

@@ -88,10 +88,7 @@ class SimScenario:
             raise ValueError("frailty variance must be nonnegative")
         if self.true_params.K != self.design.K:
             raise ValueError("true_params must have one (beta, alpha) pair per cause")
-        if isinstance(self.frailty_family, str) and self.frailty_family not in (
-            "gamma",
-            "degenerate",
-        ):
+        if isinstance(self.frailty_family, str) and self.frailty_family != "gamma":
             raise ValueError(f"unknown frailty family {self.frailty_family!r}")
 
 
@@ -102,16 +99,16 @@ def _stream(seed, key):
 def draw_frailties(scenario: SimScenario) -> np.ndarray:
     """Draw the frailty vector Z (population mean 1, variance eta).
 
-    The gamma family uses shape 1/eta, rate 1/eta; eta = 0 (or the degenerate
-    family) yields Z identically 1.  With normalize_frailties set, the draw is
-    rescaled to sample mean exactly 1, matching the model constraint.
+    The gamma family uses shape 1/eta, rate 1/eta; eta = 0 yields Z
+    identically 1.  With normalize_frailties set, the draw is rescaled to
+    sample mean exactly 1, matching the model constraint.
     """
     m = scenario.design.m
     rng = _stream(scenario.seed, 0)
     fam = scenario.frailty_family
     if isinstance(fam, FrailtyMixture):
         z = fam.sample(m, rng)
-    elif fam == "degenerate" or scenario.eta == 0.0:
+    elif scenario.eta == 0.0:
         z = np.ones(m)
     else:
         shape = 1.0 / scenario.eta

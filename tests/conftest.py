@@ -8,6 +8,7 @@ from frailplp.data import (
     FailureDataset,
     CountSummary,
 )
+from frailplp.hmc import FrailtyTarget
 from frailplp.plp import PlpParams
 from frailplp.simulate import SimScenario
 
@@ -85,3 +86,13 @@ class UniformDraws:
 
     def random(self, size=None):
         return self.rng.uniform(size=size)
+
+
+def log_target_z(z_star, n_j, mu_y, tau_y):
+    """FrailtyTarget's log density at z* with its gradient, from set_atoms and start."""
+    target = FrailtyTarget(z_star)
+    target.set_atoms(n_j, mu_y, tau_y)
+    half_grad = np.zeros(target.z_star.size)
+    # with eps = 1 the start kick adds half the gradient, and halving is exact
+    logp = target.start(1.0, half_grad)
+    return logp, 2.0 * half_grad

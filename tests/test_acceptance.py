@@ -281,7 +281,7 @@ class TestCriterion6SamplerOracles:
             tau=np.ones(k),
             u=np.full(m, 1e-3),
             y=np.arange(m) % k,
-            z_star=np.zeros(m - 1),
+            w=np.zeros(m),
         )
         draws = []
         for _ in range(120_000):

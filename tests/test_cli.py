@@ -581,6 +581,35 @@ class TestConfigFile:
                    "--out", str(tmp_path / "e.csv"))
         assert code == EXIT_OK
 
+    def test_required_flags_given_only_in_the_file(self, fleet_csv, tmp_path):
+        # --seed and --out for simulate, --data for fit and mcmc and --trace
+        # for diagnose may all come from the file; a flag given still wins
+        ref, a, b = tmp_path / "ref.csv", tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("simulate", "--out", str(ref), "--seed", "9") == EXIT_OK
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"seed=9\nout={a}\n")
+        assert run("simulate", "--config", str(cfg)) == EXIT_OK
+        assert run("simulate", "--config", str(cfg), "--out", str(b)) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes() == ref.read_bytes()
+        assert run("simulate", "--config", str(cfg), "--out", str(b), "--seed", "4") == EXIT_OK
+        assert b.read_bytes() != ref.read_bytes()
+
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"data={fleet_csv}\niterations=300\nburn_in=100\n")
+        assert run("fit", "--config", str(cfg), "--out", str(tmp_path / "e.csv")) == EXIT_OK
+        out_dir = tmp_path / "chain"
+        assert run("mcmc", "--config", str(cfg), "--out-dir", str(out_dir)) == EXIT_OK
+        cfg = tmp_path / "diag.cfg"
+        cfg.write_text(f"trace={out_dir / 'var_z_trace.csv'}\n")
+        assert run("diagnose", "--config", str(cfg)) == EXIT_OK
+
+    def test_required_flag_missing_from_flags_and_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=12\n")
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--config", str(cfg), "--out", str(tmp_path / "d.csv"))
+        assert exc.value.code == 2
+
     def test_missing_config_file(self, tmp_path):
         code = run(
             "simulate", "--config", str(tmp_path / "nope.cfg"),

@@ -12,7 +12,7 @@ from scipy.stats import chisquare
 from frailplp.data import ObservationDesign, summarize
 from frailplp.plp import PlpParams
 from frailplp.simulate import SimScenario, simulate
-from frailplp.hmc import FrailtyTarget, HmcConfig, inverse_transform, transform
+from frailplp.hmc import FrailtyTarget, HmcConfig, hmc_update, transform
 from frailplp.dpm import (
     DpmHyperparams,
     DpmState,
@@ -37,34 +37,49 @@ from conftest import UniformDraws
 def make_state(m=6, levels=4, y=None, c=1.0, seed=0, z=None):
     rng = np.random.default_rng(seed)
     nu = rng.uniform(0.2, 0.6, size=levels)
-    state = DpmState(
+    return DpmState(
         c=c,
+        y=np.zeros(m, dtype=int) if y is None else np.asarray(y, dtype=int),
+        w=np.zeros(m) if z is None else np.log(z),
         nu=nu,
+        rho=stick_break(nu),
         mu=rng.normal(size=levels),
         tau=rng.uniform(0.5, 2.0, size=levels),
         u=np.full(m, 1e-4),
-        y=np.zeros(m, dtype=int) if y is None else np.asarray(y, dtype=int),
-        z_star=np.zeros(m - 1) if z is None else inverse_transform(z),
     )
-    return state
+
+
+def small_fleet(m=8, seed=0):
+    data, _ = simulate(
+        SimScenario(
+            design=ObservationDesign(T=20.0, m=m, K=1),
+            true_params=PlpParams(beta=np.array([1.2]), alpha=np.array([5.0])),
+            eta=0.5,
+            seed=seed,
+        )
+    )
+    return summarize(data)
 
 
 class TestDerivedFrailties:
     def test_log_frailties_finite_where_frailties_underflow(self):
+        # the HMC target's log-frailties, which the chain's state takes on
+        # each accepted move, come from the log-space sticks
         m = 1000
-        state = make_state(m=m)
-        state.z_star = np.random.default_rng(3).uniform(-20.0, 20.0, size=m - 1)
-        z, _ = transform(state.z_star)
+        z_star = np.random.default_rng(3).uniform(-20.0, 20.0, size=m - 1)
+        w = FrailtyTarget(z_star).w
+        z, _ = transform(z_star)
         assert np.any(z == 0.0)
-        assert np.array_equal(state.z, z)
-        assert np.all(np.isfinite(state.w))
+        assert np.array_equal(np.exp(w), z)
+        assert np.all(np.isfinite(w))
         normal = z > 1e-300
-        assert np.allclose(state.w[normal], np.log(z[normal]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(w[normal], np.log(z[normal]), rtol=1e-12, atol=1e-12)
 
     def test_one_forward_pass_per_leapfrog_step(self, monkeypatch):
-        # the initial state and the chain's target each make one; then a
-        # transition starts from its current point's pass, and an accepted
-        # end point's pass gives the state its log-frailties
+        # the chain's target makes one at z* = 0, which gives the initial
+        # state its log-frailties; then a transition starts from its current
+        # point's pass, and an accepted end point's pass gives the state its
+        # log-frailties
         calls = []
         forward = FrailtyTarget._forward
 
@@ -73,18 +88,41 @@ class TestDerivedFrailties:
             forward(self, q)
 
         monkeypatch.setattr(FrailtyTarget, "_forward", counted)
-        data, _ = simulate(
-            SimScenario(
-                design=ObservationDesign(T=20.0, m=8, K=1),
-                true_params=PlpParams(beta=np.array([1.2]), alpha=np.array([5.0])),
-                seed=0,
-            )
-        )
-        run_chain(summarize(data), iterations=30, burn_in=10, seed=0)
-        assert len(calls) == 2 + 30 * HmcConfig().leapfrog_steps
+        run_chain(small_fleet(), iterations=30, burn_in=10, seed=0)
+        assert len(calls) == 1 + 30 * HmcConfig().leapfrog_steps
+
+    def test_state_takes_each_accepted_point(self, monkeypatch):
+        # every recorded draw is the target's current point after that
+        # sweep's move, so the atoms and allocations of the next sweep see it
+        current = []
+
+        def recorded(target, *args, **kwargs):
+            out = hmc_update(target, *args, **kwargs)
+            current.append(np.exp(target.w))
+            return out
+
+        monkeypatch.setattr(dpm, "hmc_update", recorded)
+        tr = run_chain(small_fleet(), iterations=60, burn_in=20, seed=1)
+        assert 0 < tr.accepted.sum() < tr.iterations
+        assert np.array_equal(tr.z, current)
 
 
 class TestStickBreaking:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weights_follow_the_sticks_of_each_stage(self, seed):
+        # update_sticks replaces the sticks and extend_levels appends to them;
+        # each sets the weights with them
+        rng = np.random.default_rng(seed)
+        state = make_state(m=30, levels=0, y=rng.integers(0, 4, size=30), c=2.0)
+        update_sticks(state, rng)
+        assert np.array_equal(state.rho, stick_break(state.nu))
+        update_slices(state, rng)
+        state.u[0] = 1e-6  # more levels than the allocated ones
+        levels = state.l_star
+        extend_levels(state, rng)
+        assert state.l_star > levels
+        assert np.allclose(state.rho, stick_break(state.nu), rtol=1e-12, atol=0.0)
+
     def test_trivial_values(self):
         assert stick_break(np.array([])).size == 0
         assert np.allclose(stick_break([0.3]), [0.3])
@@ -304,7 +342,6 @@ class TestAtoms:
         # and the sampler draws from exactly that normal-gamma law
         rng = np.random.default_rng(10)
         state = make_state(m=3, levels=1, y=np.zeros(3))
-        state.z_star = inverse_transform(np.array([1.0, 1.0, 1.0]))
         mus, taus = [], []
         for _ in range(30_000):
             mu, tau = update_atoms(state, hyper, rng)
@@ -333,7 +370,7 @@ class TestAtoms:
         # replay gamma(shape, scale) and normal(loc, scale) on one stream
         hyper = DpmHyperparams(m0=0.3, s0=1.5, d0=2.0, p0=0.7)
         state = make_state(m=40, levels=6, y=np.arange(40) % 4, seed=seed)
-        state.z_star = np.random.default_rng(seed).normal(scale=0.8, size=39)
+        state.w = np.random.default_rng(seed).normal(scale=0.8, size=40)
         gen_state = np.random.default_rng(seed + 10).bit_generator.state
         mu, tau = update_atoms(state, hyper, np.random.default_rng(seed + 10))
 
@@ -357,8 +394,7 @@ class TestAtoms:
         hyper = DpmHyperparams()
         rng = np.random.default_rng(12)
         z = np.array([0.5, 0.5, 1.5, 1.5])
-        state = make_state(m=4, levels=2, y=np.array([0, 0, 1, 1]))
-        state.z_star = inverse_transform(z)
+        state = make_state(m=4, levels=2, y=np.array([0, 0, 1, 1]), z=z)
         mus = np.array([update_atoms(state, hyper, rng)[0] for _ in range(20_000)])
         # posterior means shrink the group log-means toward the prior mean 0
         w_low, w_high = math.log(0.5), math.log(1.5)
@@ -393,8 +429,7 @@ class TestAllocations:
         rng = np.random.default_rng(15)
         state = make_state(m=3, levels=2, y=np.zeros(3))
         state.mu = np.array([0.0, 5.0])
-        state.tau = np.ones(2)
-        state.z_star = inverse_transform(np.array([1.0, 1.0, 1.0]))  # w = 0
+        state.tau = np.ones(2)  # and w = 0
         state.u = np.full(3, min(state.rho) * 0.5)
         y = update_allocations(state, rng)
         assert np.all(y == 0)
@@ -404,7 +439,8 @@ class TestAllocations:
         # admissible levels {0, 1, 3}: p_l ~ sqrt(tau_l) exp(-tau_l mu_l^2 / 2)
         m = 20_000
         state = make_state(m=m, levels=4)
-        state.nu = np.array([0.4, 0.5, 0.3, 0.6])  # rho = 0.4, 0.3, 0.09, 0.126
+        state.nu = np.array([0.4, 0.5, 0.3, 0.6])
+        state.rho = stick_break(state.nu)  # 0.4, 0.3, 0.09, 0.126
         state.mu = np.array([0.0, 0.5, -0.8, 0.3])
         state.tau = np.array([1.0, 2.0, 0.5, 1.5])
         state.u = np.full(m, 0.1)
@@ -488,8 +524,8 @@ class TestChain:
 
     @pytest.mark.parametrize("levels", [1, 5, 40])
     def test_carried_levels_are_never_read(self, monkeypatch, levels):
-        # only c, y and z_star cross a sweep: NaN sticks, atoms and slices of
-        # any length in the initial state leave the chain bit-identical
+        # only c, y and w cross a sweep: NaN sticks, weights, atoms and slices
+        # of any length in the initial state leave the chain bit-identical
         data, _ = simulate(
             SimScenario(
                 design=ObservationDesign(T=20.0, m=12, K=1),
@@ -502,9 +538,11 @@ class TestChain:
         reference = run_chain(summary, iterations=80, burn_in=30, seed=2, grid=np.linspace(*DEFAULT_GRID))
         init = dpm._init_state
 
-        def nan_levels(m):
-            state = init(m)
-            state.nu, state.mu, state.tau, state.u = (np.full(levels, np.nan) for _ in range(4))
+        def nan_levels(w):
+            state = init(w)
+            state.nu, state.rho, state.mu, state.tau, state.u = (
+                np.full(levels, np.nan) for _ in range(5)
+            )
             return state
 
         monkeypatch.setattr(dpm, "_init_state", nan_levels)

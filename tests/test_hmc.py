@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from frailplp.hmc import (
+    STEP_JITTER,
     HmcConfig,
     DualAveraging,
     FrailtyTarget,
@@ -59,8 +60,6 @@ class TestConfig:
             HmcConfig(step_size=0.0)
         with pytest.raises(ValueError):
             HmcConfig(leapfrog_steps=0)
-        with pytest.raises(ValueError):
-            HmcConfig(step_jitter=1.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -111,7 +110,7 @@ class TestLeapfrog:
 class TestUpdate:
     def test_tiny_step_always_accepts(self):
         rng = np.random.default_rng(0)
-        cfg = HmcConfig(step_size=1e-6, leapfrog_steps=3, step_jitter=0.0, adapt=False)
+        cfg = HmcConfig(step_size=1e-6, leapfrog_steps=3, adapt=False)
         target = Gauss([0.2, -0.1])
         for _ in range(20):
             q, accepted, divergent, accept_prob = hmc_update(target, cfg, rng)
@@ -122,7 +121,7 @@ class TestUpdate:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_keeps_current_point(self):
         rng = np.random.default_rng(1)
-        cfg = HmcConfig(step_size=200.0, leapfrog_steps=30, step_jitter=0.0, adapt=False)
+        cfg = HmcConfig(step_size=200.0, leapfrog_steps=30, adapt=False)
         q0 = np.array([0.5, 0.5])
         target = fixed_atoms(q0)
         q, accepted, divergent, accept_prob = hmc_update(target, cfg, rng)
@@ -135,7 +134,7 @@ class TestUpdate:
         # interior steps do not check the gradient; the non-finite value
         # reaches the end point's energy, which must reject the trajectory
         rng = np.random.default_rng(6)
-        cfg = HmcConfig(step_size=0.05, leapfrog_steps=5, step_jitter=0.0, adapt=False)
+        cfg = HmcConfig(step_size=0.05, leapfrog_steps=5, adapt=False)
         class BadInterior(Gauss):
             def kick(self, q, r):
                 r += bad
@@ -165,7 +164,7 @@ class TestUpdate:
                 return super().finish(q, r)
 
         rng = np.random.default_rng(4)
-        cfg = HmcConfig(step_size=0.05, leapfrog_steps=20, step_jitter=0.0, adapt=False)
+        cfg = HmcConfig(step_size=0.05, leapfrog_steps=20, adapt=False)
         _, _, divergent, _ = hmc_update(Counted([0.3, -0.2]), cfg, rng)
         assert not divergent
         assert len(calls) == 21
@@ -295,9 +294,7 @@ def _reference_leapfrog(z_star, p, eps, n_steps, grad_fn, grad0):
 
 
 def _reference_hmc_update(z_star, logp_grad_fn, config, rng, step_size):
-    eps = step_size
-    if config.step_jitter > 0:
-        eps = eps * (1.0 + config.step_jitter * (2.0 * rng.uniform() - 1.0))
+    eps = step_size * (1.0 + STEP_JITTER * (2.0 * rng.uniform() - 1.0))
     q0 = np.asarray(z_star, dtype=float)
     logp0, grad0 = logp_grad_fn(q0)
     p0 = rng.standard_normal(q0.size)
@@ -382,7 +379,7 @@ class TestUniformDraws:
     def test_same_transition_and_stream_as_uniform_calls(self):
         # random() returns the doubles of uniform(0, 1) and advances the
         # stream alike, for the step jitter and the accept test
-        cfg = HmcConfig(step_jitter=0.3, leapfrog_steps=5)
+        cfg = HmcConfig(leapfrog_steps=5)
         gen = np.random.default_rng(0)
         outcomes = set()
         for seed in range(40):

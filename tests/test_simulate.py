@@ -36,10 +36,6 @@ class TestFrailties:
         z = draw_frailties(scenario(eta=0.0, seed=1))
         assert np.all(z == 1.0)
 
-    def test_degenerate_family_overrides_eta(self):
-        z = draw_frailties(scenario(eta=0.7, frailty_family="degenerate", seed=1))
-        assert np.all(z == 1.0)
-
     def test_gamma_moments_large_sample(self):
         z = draw_frailties(scenario(m=200_000, eta=0.5, seed=2))
         assert z.mean() == pytest.approx(1.0, abs=0.01)
@@ -217,12 +213,18 @@ class TestMatchesPerSystemLoop:
         for seed in (1, 2, 3):
             assert_same_fleet(scenario(m=m, K=len(beta), beta=beta, alpha=alpha, eta=0.5, seed=seed))
 
+    # eta = 0 gives the degenerate law Z = 1 through the gamma family; the
+    # mixture ignores eta
     @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.parametrize("family", ["gamma", "degenerate", BIMODAL])
-    def test_same_fleet_for_each_frailty_family(self, family, normalize):
+    @pytest.mark.parametrize(
+        "family, eta",
+        [("gamma", 0.8), ("gamma", 0.0), (BIMODAL, 0.8)],
+        ids=["gamma", "degenerate", "family2"],
+    )
+    def test_same_fleet_for_each_frailty_family(self, family, eta, normalize):
         for seed in (4, 5):
             assert_same_fleet(
-                scenario(m=60, K=3, beta=(1.3, 0.5, 2.0), alpha=(4.0, 9.0, 0.7), eta=0.8,
+                scenario(m=60, K=3, beta=(1.3, 0.5, 2.0), alpha=(4.0, 9.0, 0.7), eta=eta,
                          frailty_family=family, seed=seed, normalize_frailties=normalize)
             )
 
