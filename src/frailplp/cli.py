@@ -27,6 +27,7 @@ from .plp import (
     posterior,
     bayes_estimates,
     classic_mle,
+    check_duane,
     duane_points,
 )
 from .simulate import SCENARIOS, SimScenario, FrailtyMixture, simulate, write_frailties
@@ -188,8 +189,9 @@ def cmd_fit(args):
     data = _read_dataset(args)
     if len(data) == 0:
         raise DatasetError("dataset contains no failures; nothing to fit")
-    causes = range(1, data.design.K + 1)
-    duane = [duane_points(data, q) for q in causes] if args.duane_out else []
+    causes = range(1, data.design.K + 1) if args.duane_out else ()
+    for q in causes:
+        check_duane(data, q)
     summary = summarize(data)
     post = posterior(summary, PriorConfig(zeta=args.zeta))
     rows = bayes_estimates(post)
@@ -199,15 +201,16 @@ def cmd_fit(args):
     if data.design.m == 1 and data.design.K == 1:
         beta_hat, mu_hat = classic_mle(summary)
         print(f"classic MLEs: beta_hat={beta_hat:.6f}  mu_hat={mu_hat:.6f}")
-    for q, (log_t, log_n, slope) in zip(causes, duane):
-        _write_matrix(
-            f"{args.duane_out}.cause{q}.csv",
-            ["index", "log_time", "log_count"],
-            log_t,
-            log_n,
-        )
-        print(f"duane slope cause {q}: {slope:.4f}")
+    for q in causes:
+        print(f"duane slope cause {q}: {_write_duane(args.duane_out, data, q):.4f}")
     return EXIT_OK
+
+
+def _write_duane(prefix, data, cause):
+    """Write one cause's Duane table and return its slope; its arrays die on return."""
+    log_t, log_n, slope = duane_points(data, cause)
+    _write_matrix(f"{prefix}.cause{cause}.csv", ["index", "log_time", "log_count"], log_t, log_n)
+    return slope
 
 
 def cmd_mcmc(args):

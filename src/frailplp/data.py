@@ -66,7 +66,10 @@ class FailureDataset:
     Three read-only columns hold one entry per failure: ``system_id`` and
     ``cause`` (ints) and ``time`` (floats), sorted by (system_id, time).
     Within each system the times are strictly increasing; ties and boundary
-    times are rejected.
+    times are rejected.  The constructor copies the caller's columns, so the
+    dataset shares no memory with an array the caller may still write; the
+    package's own producers (`ingest`, ``simulate``) hand their freshly built
+    columns over through `_adopt` instead, so that each event is held once.
     """
 
     design: ObservationDesign
@@ -75,6 +78,20 @@ class FailureDataset:
     time: np.ndarray
 
     def __init__(self, design, system_id, cause, time):
+        self._hold(design, system_id, cause, time, copy=True)
+
+    @classmethod
+    def _adopt(cls, design, system_id, cause, time):
+        """A dataset that takes over columns its caller built and will not touch again.
+
+        The validation is the constructor's; columns already in order are held
+        as given, without the constructor's defensive copy.
+        """
+        data = object.__new__(cls)
+        data._hold(design, system_id, cause, time, copy=False)
+        return data
+
+    def _hold(self, design, system_id, cause, time, copy):
         system_id = np.asarray(system_id, dtype=np.int64)
         cause = np.asarray(cause, dtype=np.int64)
         time = np.asarray(time, dtype=float)
@@ -82,11 +99,11 @@ class FailureDataset:
             raise DatasetError("system_id, cause and time must be 1-D columns of one length")
         same_system = system_id[1:] == system_id[:-1]
         in_order = (system_id[1:] > system_id[:-1]) | (same_system & (time[1:] >= time[:-1]))
-        if in_order.all():
-            system_id, cause, time = system_id.copy(), cause.copy(), time.copy()
-        else:
+        if not in_order.all():
             order = np.lexsort((time, system_id))
             system_id, cause, time = system_id[order], cause[order], time[order]
+        elif copy:
+            system_id, cause, time = system_id.copy(), cause.copy(), time.copy()
         bad_system = (system_id < 1) | (system_id > design.m)
         bad_cause = (cause < 1) | (cause > design.K)
         bad_time = ~((time > 0.0) & (time < design.T))
@@ -147,10 +164,17 @@ class CountSummary:
 def summarize(data: FailureDataset) -> CountSummary:
     """Tabulate per-system/per-cause counts and the per-cause log-ratio sums."""
     d = data.design
-    cell = (data.system_id - 1) * d.K + (data.cause - 1)
+    # one event-length int and one float work array: (system_id - 1) * K +
+    # (cause - 1) is formed in place, and the same array then holds cause - 1
+    cell = data.system_id * d.K
+    cell += data.cause
+    cell -= d.K + 1
     n_jq = np.bincount(cell, minlength=d.m * d.K).reshape(d.m, d.K)
-    log_ratio = np.bincount(data.cause - 1, weights=np.log(d.T) - np.log(data.time), minlength=d.K)
-    return CountSummary(n_jq=n_jq, log_ratio_sums=log_ratio, design=d)
+    log_ratio = np.log(data.time)
+    np.subtract(np.log(d.T), log_ratio, out=log_ratio)
+    np.subtract(data.cause, 1, out=cell)
+    sums = np.bincount(cell, weights=log_ratio, minlength=d.K)
+    return CountSummary(n_jq=n_jq, log_ratio_sums=sums, design=d)
 
 
 def _parse_metadata(lines):
@@ -226,6 +250,8 @@ def ingest(path, design: ObservationDesign | None = None) -> FailureDataset:
     ``system_id,cause,time``; each following row is one failure (see
     `_read_rows` for what else the body may hold).  Bytes that are not UTF-8
     are kept as lone surrogates, so the line that holds them fails to parse.
+    The dataset takes over the columns of the parsed rows without a copy
+    (a file out of order is sorted into new columns).
     """
     comment_lines = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -252,7 +278,7 @@ def ingest(path, design: ObservationDesign | None = None) -> FailureDataset:
             design = ObservationDesign(T=meta["T"], m=meta["m"], K=meta["K"])
 
         rows = _read_rows(fh, _EVENT_ROW, lineno + 1)
-    return FailureDataset(design, rows["system_id"], rows["cause"], rows["time"])
+    return FailureDataset._adopt(design, rows["system_id"], rows["cause"], rows["time"])
 
 
 # Values per chunk of `_write_rows`: large enough that per-chunk overhead

@@ -51,6 +51,7 @@ __all__ = [
     "classic_mle",
     "posterior",
     "bayes_estimates",
+    "check_duane",
     "duane_points",
 ]
 
@@ -424,18 +425,41 @@ def bayes_estimates(post: PlpPosterior, level=0.95) -> list[ParameterEstimate]:
     return out
 
 
+def check_duane(data: FailureDataset, cause: int) -> None:
+    """Raise `DatasetError` unless cause `cause` has two distinct failure times.
+
+    A Duane slope needs at least two points with different log-times; ties
+    across systems are valid data, but a cause whose times all tie has no
+    slope.
+    """
+    of_q = data.cause == cause
+    if np.count_nonzero(of_q) < 2:
+        raise DatasetError(f"cause {cause} needs at least 2 failures for a Duane plot")
+    if data.time.min(where=of_q, initial=np.inf) == data.time.max(where=of_q, initial=0.0):
+        raise DatasetError(
+            f"cause {cause} needs two distinct failure times for a Duane plot; all tie"
+        )
+
+
 def duane_points(data: FailureDataset, cause: int):
     """Duane-plot data for one cause, pooled over systems.
 
     Returns (log_times, log_counts, slope): cumulative cause-q failure counts
     at each ordered cause-q failure time on log-log axes, with the unweighted
-    least-squares slope.  Near-linearity supports the power-law form; the
-    slope estimates beta_q.
+    least-squares slope of log count on log time, taken in closed form from
+    the centred log-times.  Near-linearity supports the power-law form; the
+    slope estimates beta_q.  The selected times are sorted and logged in
+    place, so the log-times are the only copy of them.  Raises `DatasetError`
+    as `check_duane` does.
     """
-    times = np.sort(data.time[data.cause == cause])
-    if times.size < 2:
-        raise DatasetError(f"cause {cause} needs at least 2 failures for a Duane plot")
-    log_t = np.log(times)
-    log_n = np.log(np.arange(1, times.size + 1, dtype=float))
-    slope = float(np.polyfit(log_t, log_n, 1)[0])
+    check_duane(data, cause)
+    log_t = data.time[data.cause == cause]
+    log_t.sort()
+    np.log(log_t, out=log_t)
+    log_n = np.arange(1, log_t.size + 1, dtype=float)
+    np.log(log_n, out=log_n)
+    dx = log_t - log_t.mean()
+    # einsum's own loop rather than a BLAS dot, whose threads can take
+    # milliseconds to wake when another process holds a core
+    slope = float(np.einsum("i,i", dx, log_n) / np.einsum("i,i", dx, dx))
     return log_t, log_n, slope

@@ -123,7 +123,10 @@ def simulate(scenario: SimScenario):
 
     Each system's uniforms go, in stream order, into one fleet-wide buffer
     sized from the expected event count and grown only when a fleet exceeds
-    it; the times are then formed with one power per cause.
+    it; the times are then formed in that buffer with one power per cause.
+    The system ids come out in order, so sorting the fleet by (system_id,
+    time) only reorders the causes and times; the sorted columns are handed
+    to the dataset without a copy, so each event is held once.
     """
     d = scenario.design
     params = scenario.true_params
@@ -145,12 +148,15 @@ def simulate(scenario: SimScenario):
     counts = np.array(counts).reshape(d.m, d.K)
     system_id = np.repeat(np.arange(1, d.m + 1), counts.sum(axis=1))
     cause = np.repeat(np.tile(np.arange(1, d.K + 1), d.m), counts.ravel())
-    u = buf[:end]
-    time = np.empty(end)
+    time = buf[:end]
+    del buf  # so that the buffer is freed once the sorted times replace it
     for q in range(d.K):
         of_q = cause == q + 1
-        time[of_q] = d.T * u[of_q] ** (1.0 / params.beta[q])
-    return FailureDataset(d, system_id, cause, time), z
+        time[of_q] = d.T * time[of_q] ** (1.0 / params.beta[q])
+    order = np.lexsort((time, system_id))
+    cause = cause[order]
+    time = time[order]
+    return FailureDataset._adopt(d, system_id, cause, time), z
 
 
 def _first_capacity(mean):

@@ -123,6 +123,17 @@ class TestSummarize:
         assert math.isfinite(s.log_ratio_sums[0])
         assert s.log_ratio_sums[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    def test_equals_the_whole_array_expressions(self, fleet_scenario):
+        data, _ = simulate(fleet_scenario)
+        d = data.design
+        s = summarize(data)
+        cell = (data.system_id - 1) * d.K + (data.cause - 1)
+        assert np.array_equal(s.n_jq, np.bincount(cell, minlength=d.m * d.K).reshape(d.m, d.K))
+        log_ratio = np.log(d.T) - np.log(data.time)
+        assert np.array_equal(
+            s.log_ratio_sums, np.bincount(data.cause - 1, weights=log_ratio, minlength=d.K)
+        )
+
 
 @st.composite
 def datasets(draw, edge=1e-6):
@@ -177,6 +188,23 @@ class TestFileRoundTrip:
         again = ingest(path)
         assert again.design == data.design
         assert same_events(again, data)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_ingested_dataset_is_sorted_and_read_only(self, tmp_path, fleet_scenario, shuffle):
+        data, _ = simulate(fleet_scenario)
+        rows = np.column_stack([getattr(data, name) for name in COLUMNS]).tolist()
+        if shuffle:
+            np.random.default_rng(2).shuffle(rows)
+        d = data.design
+        path = tmp_path / "fleet.csv"
+        path.write_text(
+            f"# T={d.T!r}\n# m={d.m}\n# K={d.K}\nsystem_id,cause,time\n"
+            + "".join(f"{int(j)},{int(q)},{t!r}\n" for j, q, t in rows)
+        )
+        got = ingest(path)
+        assert same_events(got, data)
+        for name in COLUMNS:
+            assert not getattr(got, name).flags.writeable
 
     def test_explicit_design_overrides_metadata(self, tmp_path):
         data = make_dataset(T=20.0, m=2, events=[(1, 1, 5.0)])

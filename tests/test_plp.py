@@ -10,7 +10,7 @@ from scipy import integrate
 from scipy.special import gammainc, gammaincc, gammaincinv
 from scipy.stats import gamma as gamma_dist
 
-from frailplp.data import ObservationDesign, summarize
+from frailplp.data import DatasetError, FailureDataset, ObservationDesign, summarize
 from frailplp.plp import (
     PlpParams,
     PriorConfig,
@@ -23,6 +23,7 @@ from frailplp.plp import (
     classic_mle,
     posterior,
     bayes_estimates,
+    check_duane,
     duane_points,
 )
 from frailplp.simulate import SimScenario, simulate
@@ -378,3 +379,55 @@ class TestDuane:
         data = make_dataset(T=20.0, m=1, events=[(1, 1, 5.0)])
         with pytest.raises(ValueError):
             duane_points(data, 1)
+
+    def test_all_tied_times_rejected(self):
+        # ties across systems are valid data, but a cause whose times all tie
+        # has no slope
+        data = make_dataset(T=10.0, m=2, events=[(1, 1, 5.0), (2, 1, 5.0)])
+        for check in (check_duane, duane_points):
+            with pytest.raises(DatasetError, match="needs two distinct failure times"):
+                check(data, 1)
+
+    def test_some_tied_times_accepted(self):
+        data = make_dataset(T=10.0, m=3, events=[(1, 1, 5.0), (2, 1, 5.0), (3, 1, 2.0)])
+        log_t, log_n, slope = duane_points(data, 1)
+        assert log_t.tolist() == np.log([2.0, 5.0, 5.0]).tolist()
+        assert slope == pytest.approx(polyfit_slope(log_t, log_n), rel=1e-12, abs=0.0)
+
+
+def polyfit_slope(log_t, log_n):
+    """The least-squares slope as the Vandermonde solve computed it, kept as the oracle."""
+    return np.polyfit(log_t, log_n, 1)[0]
+
+
+class TestClosedFormSlope:
+    @pytest.mark.parametrize("T", [20.0, 1e6])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_matches_polyfit_on_pooled_fleets(self, T, seed):
+        scen = SimScenario(
+            design=ObservationDesign(T=T, m=300, K=2),
+            true_params=PlpParams(beta=np.array([1.2, 0.7]), alpha=np.array([5.0, 13.33])),
+            eta=0.5,
+            seed=seed,
+        )
+        data, _ = simulate(scen)
+        for q in (1, 2):
+            log_t, log_n, slope = duane_points(data, q)
+            assert slope == pytest.approx(polyfit_slope(log_t, log_n), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("T, times", [(20.0, (2.0, 5.0)), (1e6, (3e5, 8e5))])
+    def test_matches_polyfit_at_two_points(self, T, times):
+        data = make_dataset(T=T, m=2, events=[(1, 1, times[0]), (2, 1, times[1])])
+        log_t, log_n, slope = duane_points(data, 1)
+        assert slope == pytest.approx(polyfit_slope(log_t, log_n), rel=1e-12, abs=0.0)
+        assert slope == pytest.approx(math.log(2.0) / math.log(times[1] / times[0]), rel=1e-12)
+
+    @pytest.mark.parametrize("T", [20.0, 1e6])
+    def test_matches_polyfit_at_1e5_points(self, T):
+        n = 100_000
+        times = T * np.random.default_rng(5).random(n) ** (1.0 / 1.3)
+        ones = np.ones(n, dtype=np.int64)
+        data = FailureDataset(ObservationDesign(T=T, m=1, K=1), ones, ones, times)
+        log_t, log_n, slope = duane_points(data, 1)
+        assert log_t.size == n
+        assert slope == pytest.approx(polyfit_slope(log_t, log_n), rel=1e-12, abs=0.0)
