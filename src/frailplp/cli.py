@@ -129,14 +129,15 @@ def _write_matrix(path, header, *fields):
     """One CSV row per leading index: the index, then each field's values.
 
     A 1-D field is one column, a 2-D field one column per entry of its second
-    axis.  The index counts from 0; every value is cast to float and written
-    as its shortest round-trip repr (an int count prints as ``3.0``), with the
-    CRLF line ends of csv.writer, by the chunked `data._write_rows`.
+    axis.  The index counts from 0 and is written from a range, so no index
+    array is built; every value is cast to float and written as its shortest
+    round-trip repr (an int count prints as ``3.0``), with the CRLF line ends
+    of csv.writer, by the chunked `data._write_rows`.
     """
     fields = [np.asarray(f, dtype=float) for f in fields]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        _write_rows(fh, np.arange(len(fields[0])), *fields, end="\r\n")
+        _write_rows(fh, range(len(fields[0])), *fields, end="\r\n")
 
 
 def _design(T, m, K):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -291,28 +290,48 @@ _CHUNK_VALUES = 1024
 def _write_rows(fh, *fields, end="\n"):
     """Write one CSV row per leading index of the `fields` to an open text file.
 
-    Every field has the same number of rows: a 1-D array gives one value per
-    row, a 2-D array several, and the fields' values are joined left to right
-    with commas.  Each value is written as the repr of its Python scalar
-    (``tolist()``), so a float prints as its shortest round-trip form and an
-    int as its digits.  Each row ends in `end`; open `fh` with ``newline=""``
-    when `end` is not ``"\n"``, since a text file that translates line ends
-    copies every chunk once more.  The rows are built and written a chunk of
-    about `_CHUNK_VALUES` values at a time: narrow fields become columns of
-    reprs that are zipped into rows, wide ones are joined row by row.
+    Every field has the same number of rows: a 1-D array or a range gives one
+    value per row, a 2-D array several, and the fields' values are joined left
+    to right with commas.  Each value is written as the repr of its Python
+    scalar (``tolist()``), so a float prints as its shortest round-trip form
+    and an int as its digits.  Each row ends in `end`; open `fh` with
+    ``newline=""`` when `end` is not ``"\n"``, since a text file that
+    translates line ends copies every chunk once more.  The rows are built and
+    written a chunk of about `_CHUNK_VALUES` values at a time (`_cell_chunks`);
+    a 2-D row whose bytes equal the row before it reuses that row's text.
     """
-    n = len(fields[0])
-    width = sum(1 if f.ndim == 1 else f.shape[1] for f in fields)
+    width = sum(1 if isinstance(f, range) or f.ndim == 1 else f.shape[1] for f in fields)
     step = max(1, _CHUNK_VALUES // width)
-    for lo in range(0, n, step):
-        cells = [
-            map(repr, f[lo : lo + step].tolist())
-            if f.ndim == 1
-            else map(",".join, map(map, repeat(repr), f[lo : lo + step].tolist()))
-            for f in fields
-        ]
+    for cells in zip(*(_cell_chunks(f, step) for f in fields)):
         fh.write(end.join(map(",".join, zip(*cells))))
         fh.write(end)
+
+
+def _cell_chunks(field, step):
+    """The texts of one field's rows, `step` rows per chunk.
+
+    A chunk of a range or a 1-D array is a column of reprs.  A 2-D field's
+    rows are joined one by one, except that a row whose bytes equal the row
+    before it (a rejected move repeats a trace's draw) reuses that row's text.
+    Comparing bytes rather than values keeps -0.0 after 0.0, and NaN rows,
+    exact.
+    """
+    starts = range(0, len(field), step)
+    if isinstance(field, range):
+        yield from (map(repr, field[lo : lo + step]) for lo in starts)
+    elif field.ndim == 1:
+        yield from (map(repr, field[lo : lo + step].tolist()) for lo in starts)
+    else:
+        last = text = None
+        for lo in starts:
+            block = field[lo : lo + step]
+            texts = []
+            for row, values in zip(block, block.tolist()):
+                bits = row.tobytes()
+                if bits != last:
+                    last, text = bits, ",".join(map(repr, values))
+                texts.append(text)
+            yield texts
 
 
 def write_dataset(path, data: FailureDataset) -> None:

@@ -201,15 +201,20 @@ def update_atoms(state: DpmState, hyper: DpmHyperparams, rng):
 def update_allocations(state: DpmState, rng):
     """Y_j ~ categorical over admissible levels, weighted by the normal density.
 
-    All systems are drawn at once by Gumbel-max over the m x L log-weight
-    matrix, with levels outside the slice set rho_l > u_j masked out.
+    All systems are drawn at once by an exponential race over the L x m
+    log-weight matrix (level-major, so each numpy loop runs along the m
+    systems): Y_j = argmax_l (log p_lj - log E_lj) with E_lj ~ Exp(1).  As
+    -log E is Gumbel(0, 1), this is Gumbel-max, with one log per cell.
+    Levels outside the slice set rho_l > u_j are masked out.
     """
-    w = state.w
-    logw = 0.5 * np.log(state.tau) - 0.5 * state.tau * (w[:, None] - state.mu) ** 2
-    logw = np.where(state.rho > state.u[:, None], logw, -np.inf)
-    if not np.isfinite(logw.max(axis=1)).all():
+    tau = state.tau[:, None]
+    logw = 0.5 * np.log(tau) - 0.5 * tau * (state.mu[:, None] - state.w) ** 2
+    logw = np.where(state.rho[:, None] > state.u, logw, -np.inf)
+    if not np.isfinite(logw.max(axis=0)).all():
         raise FloatingPointError("a system has no admissible level with a finite weight")
-    state.y = np.argmax(logw + rng.gumbel(size=logw.shape), axis=1)
+    race = rng.standard_exponential(size=logw.shape)
+    logw -= np.log(race, out=race)
+    state.y = np.argmax(logw, axis=0)
     return state.y
 
 
@@ -356,19 +361,22 @@ def _positive_grid(grid):
 def log_frailty_density(grid, rho, mu, tau, log_grid=None):
     """Mixture-of-log-normals density on a positive grid for one state.
 
-    One (grid, level) matrix of unnormalised normal kernels in log z, times
-    the weights rho with each level's normal constant folded in.  The weights
-    are divided by their sum, the state's instantiated stick mass.  A caller
-    that evaluates many states on one grid passes np.log(grid) as log_grid;
-    the grid is then taken as already checked.
+    One (level, grid) matrix of unnormalised normal kernels in log z, level-major
+    so that each numpy loop runs along the grid, weighted by rho with each
+    level's normal constant folded in.  The weights are divided by their sum,
+    the state's instantiated stick mass.  A caller that evaluates many states
+    on one grid passes np.log(grid) as log_grid; the grid is then taken as
+    already checked.
     """
     if log_grid is None:
         grid = _positive_grid(grid)
         log_grid = np.log(grid)
     rho, mu, tau = (np.asarray(a, dtype=float) for a in (rho, mu, tau))
-    dev = log_grid[..., None] - mu
-    kernel = np.exp(-0.5 * tau * dev**2)
-    return kernel @ (rho * np.sqrt(tau / (2.0 * np.pi))) / (grid * rho.sum())
+    kernel = mu[:, None] - log_grid
+    kernel *= kernel
+    kernel *= -0.5 * tau[:, None]
+    np.exp(kernel, out=kernel)
+    return (rho * np.sqrt(tau / (2.0 * np.pi))) @ kernel / (grid * rho.sum())
 
 
 def _mixture_var(rho, mu, tau):

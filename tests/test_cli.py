@@ -487,6 +487,18 @@ class TestWriteMatrix:
         assert peak < 500_000
 
 
+    def test_index_column_builds_no_array(self, tmp_path):
+        # the index is written from a range: an index array of these 200 000
+        # rows would alone hold 1.6 MB
+        column = np.random.default_rng(7).lognormal(size=200_000)
+        tracemalloc.start()
+        try:
+            _write_matrix(tmp_path / "c.csv", ["index", "v"], column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
+
 class TestDiagnose:
     def test_on_variance_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -1,6 +1,7 @@
 """Dataset model: validation, ingest/write round trip, count summaries."""
 
 import dataclasses
+import io
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from frailplp.data import (
     _CHUNK_VALUES,
     _parse_metadata,
+    _write_rows,
     ObservationDesign,
     FailureDataset,
     DatasetError,
@@ -294,6 +296,60 @@ class TestWriteDataset:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def _quiet_nan(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(float)[0]
+
+
+def _repeated_rows(seed, width, runs):
+    """Rows of `width` values, each new row repeated as often as `runs` says."""
+    rows = np.random.default_rng(seed).lognormal(sigma=5.0, size=(len(runs), width))
+    return np.repeat(rows, runs, axis=0)
+
+
+class TestWriteRows:
+    """2-D fields, whose rows repeat in a trace, against a per-row writer."""
+
+    @staticmethod
+    def written(*fields):
+        buf = io.StringIO()
+        _write_rows(buf, *fields)
+        return buf.getvalue()
+
+    @staticmethod
+    def reference(array):
+        return "".join(",".join(map(repr, row)) + "\n" for row in array.tolist())
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([[1.5, 2.0], [1.5, 2.0], [1.5, 2.0], [3.0, 1e-300], [1.5, 2.0]]),
+            np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [0.0, 0.0]]),
+            np.array([[np.nan, np.inf], [np.nan, np.inf], [np.inf, -np.inf], [np.inf, -np.inf],
+                      [np.nan, np.nan], [_quiet_nan(1), np.nan], [np.nan, np.nan]]),
+            np.array([[0.1, -2.5e-300, 5e-324]]),
+            np.array([[7.0]]),
+            np.empty((0, 3)),
+            np.array([[3, -7], [3, -7], [2**40, 0]]),
+            # narrow rows whose runs cross chunk boundaries
+            _repeated_rows(1, 3, [1, _CHUNK_VALUES // 3, 2, _CHUNK_VALUES, 1]),
+            # rows wider than a chunk, so one row per chunk and every repeat
+            # reuses the text of the chunk before
+            _repeated_rows(2, _CHUNK_VALUES + 5, [3, 1, 2]),
+        ],
+    )
+    def test_bytes_match_per_row_join(self, array):
+        assert self.written(array) == self.reference(array)
+
+    def test_repeats_next_to_an_index_and_a_column(self):
+        block = _repeated_rows(3, 4, [2, 1, 3])
+        column = np.random.default_rng(4).normal(size=len(block))
+        expected = "".join(
+            ",".join([repr(i)] + list(map(repr, row)) + [repr(v)]) + "\n"
+            for i, (row, v) in enumerate(zip(block.tolist(), column.tolist()))
+        )
+        assert self.written(range(len(block)), block, column) == expected
 
 
 def reference_ingest(path, design=None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betaln
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 from frailplp.data import ObservationDesign, summarize
 from frailplp.plp import PlpParams
@@ -452,6 +452,39 @@ class TestAllocations:
         weights = np.sqrt(state.tau) * np.exp(-0.5 * state.tau * state.mu**2)
         probs = weights[admissible] / weights[admissible].sum()
         assert chisquare(hits[admissible], m * probs).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m, levels", [(40, 4), (3, 8)])
+    def test_per_system_frequencies_match_exact_categorical(self, m, levels):
+        # systems with different log-frailties and slices, so that their
+        # admissible level sets differ (each keeps at least two levels); the
+        # second case has more levels than systems.  Each system's counts
+        # over 20 000 draws meet its exact categorical law
+        # p_jl ~ sqrt(tau_l) exp(-tau_l (w_j - mu_l)^2 / 2) on rho_l > u_j
+        rng = np.random.default_rng(18)
+        state = make_state(m=m, levels=levels, seed=levels)
+        state.w = rng.uniform(-1.0, 1.0, size=m)
+        state.mu = rng.uniform(-1.0, 1.0, size=levels)
+        state.tau = rng.uniform(0.5, 1.5, size=levels)
+        state.u = 0.999 * np.sort(state.rho)[rng.integers(0, levels - 1, size=m)]
+        admissible = state.rho > state.u[:, None]
+        assert len({tuple(row) for row in admissible}) > 1
+        weights = np.sqrt(state.tau) * np.exp(-0.5 * state.tau * (state.w[:, None] - state.mu) ** 2)
+        probs = np.where(admissible, weights, 0.0)
+        probs /= probs.sum(axis=1, keepdims=True)
+        draws = 20_000
+        ys = np.array([update_allocations(state, rng) for _ in range(draws)])
+        hits = np.array([np.bincount(ys[:, j], minlength=levels) for j in range(m)])
+        assert np.all(hits[~admissible] == 0)
+        expected = draws * probs[admissible]
+        assert expected.min() > 5.0  # the chi-square approximation holds
+        pvalues = [
+            chisquare(hits[j, admissible[j]], draws * probs[j, admissible[j]]).pvalue
+            for j in range(m)
+        ]
+        # Bonferroni over the systems, and all systems' cells pooled
+        assert min(pvalues) > 1e-3 / m
+        stat = np.sum((hits[admissible] - expected) ** 2 / expected)
+        assert chi2.sf(stat, admissible.sum() - m) > 1e-3
 
     def test_system_without_admissible_level_raises(self):
         state = make_state(m=3, levels=2)
