@@ -265,6 +265,8 @@ def cmd_mcmc(args):
         geweke_pass=gw.passed,
         acceptance_rate=trace.acceptance_rate,
         divergences=trace.divergences,
+        divergent_iterations=np.flatnonzero(trace.divergent).tolist(),
+        step_size=trace.step_size,
         z_hat_mean=float(z_hat.mean()),
     )
     with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8") as fh:

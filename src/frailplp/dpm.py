@@ -4,14 +4,14 @@ The log-frailties W = log Z follow an infinite mixture of normals with
 stick-breaking weights.  A slice sampler (auxiliary variables U, allocation
 indices Y) keeps the active part of the mixture finite each sweep; the
 concentration parameter gets the Escobar-West auxiliary-variable update;
-atoms are normal-gamma; the constrained Z itself moves by HMC on its
-unconstrained representation.
+atoms are normal-gamma; the constrained Z itself moves by HMC in sum-zero
+log-ratio coordinates.
 
 The chain's Markov state is the concentration c, the allocations Y and the
 frailties alone.  Each sweep draws the sticks, slices and atoms afresh
 from their conditionals given those three, so no level value crosses a sweep.
-The frailties are held as their log-frailties w; the unconstrained point the
-HMC move runs on is owned by the chain's FrailtyTarget.
+The frailties are held as their log-frailties w; the sum-zero point the HMC
+move runs on is owned by the chain's FrailtyTarget.
 """
 
 from __future__ import annotations
@@ -227,6 +227,9 @@ class McmcTrace:
     anything: exp(2 mu + 2 / tau) has no finite posterior mean when tau is
     gamma-distributed.  density is the frailty density on run_chain's grid,
     averaged over the post-burn-in states, or None when no grid was given.
+    divergent flags the sweeps whose HMC move diverged, and step_size is the
+    nominal step of the post-burn-in moves: the adapted one, or the
+    configured one when adaptation is off.
     """
 
     z: np.ndarray
@@ -236,7 +239,8 @@ class McmcTrace:
     accepted: np.ndarray
     density: np.ndarray | None
     burn_in: int
-    divergences: int = 0
+    divergent: np.ndarray
+    step_size: float
 
     @property
     def iterations(self):
@@ -249,6 +253,10 @@ class McmcTrace:
     def z_hat(self):
         """Posterior-mean frailties from the post-burn-in draws."""
         return self.z[self.burn_in :].mean(axis=0)
+
+    @property
+    def divergences(self):
+        return int(self.divergent.sum())
 
     @property
     def acceptance_rate(self):
@@ -281,8 +289,9 @@ def run_chain(
     mean; without one, no density is evaluated and the trace's is None.
 
     The HMC move runs on one FrailtyTarget for the whole chain, started at
-    z* = 0 (all frailties one): its forward pass gives the state its first
-    log-frailties, and an accepted end point's forward pass the new ones.
+    the sum-zero point v = 0 (all frailties one): its forward pass gives the
+    state its first log-frailties, and an accepted end point's forward pass
+    the new ones.
     """
     if burn_in < 0:
         raise ValueError("burn_in must not be negative")
@@ -299,7 +308,7 @@ def run_chain(
     hmc = hmc or HmcConfig()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
 
-    target = FrailtyTarget(np.zeros(m - 1))
+    target = FrailtyTarget(np.zeros(m))
     state = _init_state(target.w)
     adapter = DualAveraging(hmc.step_size, target=hmc.target_accept) if hmc.adapt else None
     step = hmc.step_size
@@ -309,7 +318,7 @@ def run_chain(
     mixture_var = np.empty(iterations)
     c_draws = np.empty(iterations)
     accepted = np.zeros(iterations, dtype=bool)
-    divergences = 0
+    divergent = np.zeros(iterations, dtype=bool)
 
     for it in range(iterations):
         update_concentration(state, m, hyper, rng)
@@ -320,11 +329,9 @@ def run_chain(
         update_allocations(state, rng)
 
         target.set_atoms(n_j, state.mu[state.y], state.tau[state.y])
-        _, acc, divergent, accept_prob = hmc_update(target, hmc, rng, step_size=step)
+        _, acc, div, accept_prob = hmc_update(target, hmc, rng, step_size=step)
         if acc:
             state.w = target.w
-        if divergent:
-            divergences += 1
         if adapter is not None:
             if it < burn_in:
                 step = adapter.update(accept_prob)
@@ -336,6 +343,7 @@ def run_chain(
         mixture_var[it] = _mixture_var(state.rho, state.mu, state.tau)
         c_draws[it] = state.c
         accepted[it] = acc
+        divergent[it] = div
         if grid is not None and it >= burn_in:
             density += log_frailty_density(grid, state.rho, state.mu, state.tau, log_grid)
 
@@ -347,7 +355,8 @@ def run_chain(
         accepted=accepted,
         density=None if grid is None else density / (iterations - burn_in),
         burn_in=burn_in,
-        divergences=divergences,
+        divergent=divergent,
+        step_size=step,
     )
 
 

@@ -88,9 +88,10 @@ class UniformDraws:
         return self.rng.uniform(size=size)
 
 
-def log_target_z(z_star, n_j, mu_y, tau_y):
-    """FrailtyTarget's log density at z* with its gradient, from set_atoms and start."""
-    target = FrailtyTarget(z_star)
+def log_target_z(v, n_j, mu_y, tau_y):
+    """FrailtyTarget's log density at the sum-zero point v with its gradient,
+    from set_atoms and start."""
+    target = FrailtyTarget(v)
     target.set_atoms(n_j, mu_y, tau_y)
     half_grad = np.zeros(target.z_star.size)
     # with eps = 1 the start kick adds half the gradient, and halving is exact

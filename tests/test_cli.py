@@ -321,6 +321,27 @@ class TestMcmc:
         assert math.isfinite(lo) and math.isfinite(hi)
         assert 0.0 < lo <= hi
 
+    def test_summary_reports_adapted_step_and_divergent_iterations(self, mcmc_out, tmp_path):
+        summary = json.loads((mcmc_out / "summary.json").read_text())
+        # the adapted step, not the --step-size it started from
+        assert math.isfinite(summary["step_size"]) and summary["step_size"] > 0
+        assert summary["step_size"] != 0.1
+        assert len(summary["divergent_iterations"]) == summary["divergences"]
+        # an oversized fixed step diverges in some moves but not all
+        out = tmp_path / "rough"
+        run(
+            "mcmc", "--data", str(mcmc_out.parent / "fleet.csv"), "--out-dir", str(out),
+            "--iterations", "200", "--burn-in", "100", "--seed", "2",
+            "--step-size", "0.2", "--no-adapt",
+        )
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["step_size"] == 0.2
+        divergent = summary["divergent_iterations"]
+        assert 0 < len(divergent) == summary["divergences"] < 200
+        assert divergent == sorted(set(divergent)) and 0 <= divergent[0] and divergent[-1] < 200
+        accepted = np.loadtxt(out / "acceptance.csv", delimiter=",", skiprows=1)[:, 1]
+        assert not accepted[divergent].any()
+
     def test_diagnose_reads_own_variance_trace(self, mcmc_out, tmp_path):
         # one row per iteration, so the chain's own trace is long enough
         trace = mcmc_out / "var_z_trace.csv"
@@ -703,7 +724,28 @@ print(lazy_fft and "numpy.fft" in after_import)
 """
 
 
+IMPORT_PROBE = """
+import sys
+import numpy
+before = set(sys.modules)
+import frailplp.cli
+print(sorted(m for m in set(sys.modules) - before
+             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "random"]))
+"""
+
+
 class TestRuntimeDependencies:
+    def test_import_loads_neither_numpy_random_nor_scipy(self):
+        # setup_s is the import time of the CLI: numpy.random (about 15 ms)
+        # and scipy load on first use, not at import
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
     def test_cli_runs_without_scipy(self, tmp_path):
         # A fresh interpreter, so that no scipy imported by the test suite
         # itself can hide an import made by the package.

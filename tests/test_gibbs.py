@@ -64,11 +64,12 @@ def small_fleet(m=8, seed=0):
 class TestDerivedFrailties:
     def test_log_frailties_finite_where_frailties_underflow(self):
         # the HMC target's log-frailties, which the chain's state takes on
-        # each accepted move, come from the log-space sticks
+        # each accepted move, are v - logsumexp(v) + log m in log space
         m = 1000
-        z_star = np.random.default_rng(3).uniform(-20.0, 20.0, size=m - 1)
-        w = FrailtyTarget(z_star).w
-        z, _ = transform(z_star)
+        v = np.random.default_rng(3).uniform(-800.0, 800.0, size=m)
+        v -= v.mean()
+        w = FrailtyTarget(v).w
+        z, _ = transform(v)
         assert np.any(z == 0.0)
         assert np.array_equal(np.exp(w), z)
         assert np.all(np.isfinite(w))

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from frailplp.hmc import (
     STEP_JITTER,
@@ -17,11 +18,12 @@ from frailplp.hmc import (
 )
 
 from conftest import UniformDraws
+from test_transform import reference_log_target_z
 
 
 class Gauss:
-    """A fixed smooth target for kernel-level checks: standard normal in z*,
-    with FrailtyTarget's start / kick / finish / accept steps."""
+    """A fixed smooth target for kernel-level checks: standard normal in the
+    point, with FrailtyTarget's start / kick / finish / accept steps."""
 
     def __init__(self, z_star):
         self.z_star = np.array(z_star, dtype=float)
@@ -122,7 +124,7 @@ class TestUpdate:
     def test_divergence_keeps_current_point(self):
         rng = np.random.default_rng(1)
         cfg = HmcConfig(step_size=200.0, leapfrog_steps=30, adapt=False)
-        q0 = np.array([0.5, 0.5])
+        q0 = np.array([0.5, 0.0, -0.5])
         target = fixed_atoms(q0)
         q, accepted, divergent, accept_prob = hmc_update(target, cfg, rng)
         assert divergent and not accepted
@@ -189,7 +191,7 @@ class TestDualAveraging:
         rng = np.random.default_rng(3)
         cfg = HmcConfig(step_size=0.5, leapfrog_steps=10, target_accept=0.8)
         adapter = DualAveraging(cfg.step_size, target=cfg.target_accept)
-        target = fixed_atoms(np.zeros(2))
+        target = fixed_atoms(np.zeros(3))
         step = cfg.step_size
         for it in range(1500):
             _, _, _, accept_prob = hmc_update(target, cfg, rng, step_size=step)
@@ -225,7 +227,7 @@ class TestFrailtyPosterior:
         rng = np.random.default_rng(4)
         cfg = HmcConfig(step_size=0.1, leapfrog_steps=20)
         adapter = DualAveraging(cfg.step_size, target=cfg.target_accept)
-        target = frailty_target(np.zeros(3), n_j, mu, tau)
+        target = frailty_target(np.zeros(4), n_j, mu, tau)
         step = cfg.step_size
         zs = []
         for it in range(6000):
@@ -246,7 +248,7 @@ class TestFrailtyPosterior:
         tau = np.ones(3)
         rng = np.random.default_rng(5)
         cfg = HmcConfig(step_size=0.15, leapfrog_steps=20)
-        target = frailty_target(np.zeros(2), n_j, mu, tau)
+        target = frailty_target(np.zeros(3), n_j, mu, tau)
         zs = []
         for it in range(4000):
             q, *_ = hmc_update(target, cfg, rng)
@@ -256,33 +258,12 @@ class TestFrailtyPosterior:
         assert z_mean[0] < z_mean[1] < z_mean[2]
 
 
-# The kernel before the gradient-only interior steps, kept as the reference
-# for one transition: every leapfrog step evaluated the log density and
-# checked the gradient for finiteness.
-def _reference_log_target_z(z_star, n_j, mu_y, tau_y):
-    m = z_star.size + 1
-    r = np.arange(m, 0, -1, dtype=float)
-    x = z_star - np.log(r[1:])
-    sp = np.log1p(np.exp(-np.abs(x)))
-    log_b = np.minimum(x, 0.0) - sp
-    w = np.empty(m)
-    w[0] = 0.0
-    (-np.maximum(x, 0.0) - sp).cumsum(out=w[1:])
-    w[:-1] += log_b
-    log_jac = float(w.sum())
-    w += math.log(m)
-    n1 = n_j - 1.0
-    d = w - mu_y
-    td = tau_y * d
-    logp = log_jac + float(n1.dot(w)) - 0.5 * float(td.dot(d))
-    h = n1 - td
-    tail = h[::-1].cumsum()[::-1]
-    grad = (1.0 + h[:-1]) - np.exp(log_b) * (r[:-1] + tail[:-1])
-    return logp, grad
-
-
-def _reference_leapfrog(z_star, p, eps, n_steps, grad_fn, grad0):
-    q = np.array(z_star, dtype=float)
+# A plain reference for one transition on the sum-zero plane: every leapfrog
+# step evaluates the log density with scipy's max-shifted logsumexp and
+# checks the gradient for finiteness, and the momentum is projected onto the
+# plane, where the drawn momentum's component along (1, ..., 1) cancels.
+def _reference_leapfrog(v, p, eps, n_steps, grad_fn, grad0):
+    q = np.array(v, dtype=float)
     p = np.array(p, dtype=float) + 0.5 * eps * grad0
     for step in range(n_steps):
         q = q + eps * p
@@ -293,11 +274,12 @@ def _reference_leapfrog(z_star, p, eps, n_steps, grad_fn, grad0):
     return q, p, logp, True
 
 
-def _reference_hmc_update(z_star, logp_grad_fn, config, rng, step_size):
+def _reference_hmc_update(v, logp_grad_fn, config, rng, step_size):
     eps = step_size * (1.0 + STEP_JITTER * (2.0 * rng.uniform() - 1.0))
-    q0 = np.asarray(z_star, dtype=float)
+    q0 = np.asarray(v, dtype=float)
     logp0, grad0 = logp_grad_fn(q0)
     p0 = rng.standard_normal(q0.size)
+    p0 -= p0.mean()
     h0 = -logp0 + 0.5 * float(p0 @ p0)
     with np.errstate(over="ignore", invalid="ignore"):
         q1, p1, logp1, ok = _reference_leapfrog(
@@ -315,24 +297,25 @@ def _reference_hmc_update(z_star, logp_grad_fn, config, rng, step_size):
     return q0, False, False, accept_prob
 
 
-def _transition_pairs(m, z_scale, log_eps_range, count=200):
+def _transition_pairs(m, v_scale, log_eps_range, count=200):
     """Reference and new transitions from random states, each pair on one stream."""
     cfg = HmcConfig()
     gen = np.random.default_rng(m)
     for i in range(count):
-        z_star = gen.normal(scale=z_scale, size=m - 1)
+        v = gen.normal(scale=v_scale, size=m)
+        v -= v.mean()
         n_j = gen.poisson(5.0, size=m).astype(float)
         mu = gen.normal(scale=0.5, size=m)
         tau = gen.gamma(2.0, 1.0, size=m)
         eps = math.exp(gen.uniform(*log_eps_range))
         ref = _reference_hmc_update(
-            z_star,
-            lambda q: _reference_log_target_z(q, n_j, mu, tau),
+            v,
+            lambda q: reference_log_target_z(q, n_j, mu, tau)[:2],
             cfg,
             np.random.default_rng(i),
             eps,
         )
-        target = frailty_target(z_star, n_j, mu, tau)
+        target = frailty_target(v, n_j, mu, tau)
         new = hmc_update(target, cfg, np.random.default_rng(i), step_size=eps)
         yield ref, new, target
 
@@ -343,9 +326,10 @@ def _assert_same_transitions(pairs):
         assert new[1:3] == ref[1:3]
         assert np.max(np.abs(new[0] - ref[0])) <= 1e-10 * max(1.0, np.max(np.abs(ref[0])))
         assert new[3] == pytest.approx(ref[3], abs=1e-9)
-        # the target's current point is the returned one, and its forward
-        # pass is that point's
+        # the target's current point is the returned one, on the plane, and
+        # its forward pass is that point's
         assert new[0] is target.z_star
+        assert abs(new[0].sum()) <= 1e-10 * max(1.0, np.max(np.abs(new[0])))
         assert np.array_equal(target.w, FrailtyTarget(new[0]).w)
         outcomes[ref[1:3]] += 1
     return set(outcomes)
@@ -355,24 +339,24 @@ class TestMatchesReferenceTransition:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("m", [50, 500, 2000, 5000])
     def test_same_decisions_and_end_point(self, m):
-        # step sizes from 0.01 to 2 give accepted, rejected and divergent
-        # trajectories
+        # step sizes from 0.01 to 1 give accepted, rejected and divergent
+        # trajectories; on the plane the rejections fall within 0.25-0.5
         outcomes = _assert_same_transitions(
-            _transition_pairs(m, 0.3, (math.log(0.01), math.log(2.0)))
+            _transition_pairs(m, 0.3, (math.log(0.01), math.log(1.0)))
         )
         assert outcomes == {(True, False), (False, False), (False, True)}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("m", [50, 500, 5000])
     def test_same_decisions_and_end_point_far_from_the_origin(self, m):
-        # z* at scale 20 puts many sticks deep in the tails of the logistic,
-        # where log(1 - B) = log B - x and the two-branch form round apart.
-        # Out there the target is so steep that a trajectory either falls
-        # toward the mode and is accepted with probability 1 or diverges.
+        # v at scale 20 puts frailties up to e^80 apart, where exp(v) spans
+        # most of the float range.  Out there the target is so steep that a
+        # trajectory mostly either falls toward the mode and is accepted with
+        # probability 1 or diverges.
         outcomes = _assert_same_transitions(
             _transition_pairs(m, 20.0, (math.log(1e-4), math.log(2.0)))
         )
-        assert outcomes == {(True, False), (False, True)}
+        assert {(True, False), (False, True)} <= outcomes
 
 
 class TestUniformDraws:
@@ -383,11 +367,12 @@ class TestUniformDraws:
         gen = np.random.default_rng(0)
         outcomes = set()
         for seed in range(40):
-            z_star = gen.normal(scale=0.3, size=9)
+            v = gen.normal(scale=0.3, size=10)
+            v -= v.mean()
             eps = math.exp(gen.uniform(math.log(0.05), math.log(1.5)))
             moves = []
             for rng in (np.random.default_rng(seed), UniformDraws(seed)):
-                target = frailty_target(z_star.copy(), np.full(10, 3.0), np.zeros(10), np.ones(10))
+                target = frailty_target(v.copy(), np.full(10, 3.0), np.zeros(10), np.ones(10))
                 moves.append((hmc_update(target, cfg, rng, step_size=eps), rng.bit_generator.state))
             (new, state), (old, old_state) = moves
             assert np.array_equal(new[0], old[0])
@@ -395,3 +380,101 @@ class TestUniformDraws:
             assert state == old_state
             outcomes.add(new[1])
         assert outcomes == {True, False}
+
+
+# The stick-breaking target that the sum-zero one replaced, kept as the oracle
+# for the HMC move's law.  z* has length m - 1: B_j = logistic(z*_j - log(m -
+# j)), A_j = B_j prod_{o<j}(1 - B_o), A_m closes the simplex and Z = m A, so
+# z* = 0 gives Z = (1, ..., 1) and log |J| = sum_j log A_j.  With x = z* -
+# offset, sp = log1p(exp(-|x|)) gives log B = min(x, 0) - sp and log(1 - B) =
+# log B - x; with g = (n + tau mu) - tau w and T_k = sum_{j>=k} g_j, the
+# gradient is g_k - B_k T_k for k = 1..m-1.
+class StickTarget:
+    def __init__(self, z_star):
+        self.z_star = np.array(z_star, dtype=float)
+        m = self.z_star.size + 1
+        self._offset = np.log(np.arange(m - 1, 0, -1, dtype=float))
+        self._m_log_m = m * math.log(m)
+        self.w = self._forward(self.z_star)[1]
+
+    def _forward(self, q):
+        x = q - self._offset
+        sp = np.log1p(np.exp(-np.abs(x)))
+        log_b = np.minimum(x, 0.0) - sp
+        w = np.empty(q.size + 1)
+        w[0] = math.log(q.size + 1)
+        w[1:] = log_b - x
+        np.add.accumulate(w, out=w)
+        w[:-1] += log_b
+        return log_b, w
+
+    def _kick(self, q, r, scale):
+        log_b, w = self._forward(q)
+        g = scale * (self._ntm - self._tau * w)
+        r += g[:-1] - np.exp(log_b) * np.add.accumulate(g[::-1])[::-1][:-1]
+        d = w - self._mu
+        self._w_end = w
+        return float(w @ self._n) - self._m_log_m - 0.5 * float(d @ (self._tau * d))
+
+    def set_atoms(self, n_j, mu_y, tau_y):
+        self._n, self._mu, self._tau = n_j, mu_y, tau_y
+        self._ntm = n_j + tau_y * mu_y
+
+    def start(self, eps, r):
+        self._scale = eps * eps
+        return self._kick(self.z_star, r, 0.5 * self._scale)
+
+    def kick(self, q, r):
+        self._kick(q, r, self._scale)
+
+    def finish(self, q, r):
+        return self._kick(q, r, 0.5 * self._scale)
+
+    def accept(self, q):
+        self.z_star, self.w = q, self._w_end
+
+
+def _frailty_draws(target, n_j, mu, tau, seed, iterations=5000, burn_in=1000, thin=4):
+    """Thinned post-burn-in z_1, z_m and var_z of an adapted HMC chain at fixed atoms."""
+    target.set_atoms(n_j, mu, tau)
+    cfg = HmcConfig()
+    rng = np.random.default_rng(seed)
+    adapter = DualAveraging(cfg.step_size, target=cfg.target_accept)
+    step = cfg.step_size
+    zs = []
+    for it in range(iterations):
+        _, _, _, accept_prob = hmc_update(target, cfg, rng, step_size=step)
+        if it < burn_in:
+            step = adapter.update(accept_prob)
+        elif it == burn_in:
+            step = adapter.adapted_step
+        if it >= burn_in and (it - burn_in) % thin == 0:
+            zs.append(np.exp(target.w))
+    z = np.array(zs)
+    return {"z_1": z[:, 0], "z_m": z[:, -1], "var_z": ((z - 1.0) ** 2).sum(axis=1) / (z.shape[1] - 1)}
+
+
+def _random_atoms(m):
+    gen = np.random.default_rng(m)
+    return gen.poisson(3.0, size=m).astype(float), gen.normal(scale=0.5, size=m), gen.gamma(2.0, 1.0, size=m)
+
+
+class TestLawMatchesStickKernel:
+    """At fixed atoms, the sum-zero move and the stick-breaking move it
+    replaced sample one law: two-sample KS tests on thinned draws."""
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            (np.array([4.0, 1.0, 7.0]), np.array([0.1, -0.2, 0.3]), np.array([2.0, 1.5, 3.0])),
+            _random_atoms(20),
+        ],
+        ids=["criterion6_m3", "random_m20"],
+    )
+    def test_frailty_draws_follow_one_law(self, atoms):
+        m = atoms[0].size
+        new = _frailty_draws(FrailtyTarget(np.zeros(m)), *atoms, seed=11)
+        old = _frailty_draws(StickTarget(np.zeros(m - 1)), *atoms, seed=12)
+        for name in new:
+            p = ks_2samp(new[name], old[name]).pvalue
+            assert p > 1e-3, f"{name}: KS p = {p:.2e}"
