@@ -15,9 +15,6 @@ from .plp import (
     PlpParams,
     PriorConfig,
     PlpPosterior,
-    intensity,
-    mean_function,
-    log_likelihood,
     mle,
     posterior,
     bayes_estimates,

@@ -154,7 +154,7 @@ def cmd_simulate(args):
     if len(beta) != len(alpha):
         raise ConfigError("--beta and --alpha must list the same number of causes")
     design = _design(args.T, args.m, len(beta))
-    family = "gamma"
+    family = None
     if args.frailty_mixture:
         parts = _parse_floats(args.frailty_mixture)
         if len(parts) % 3 != 0 or not parts:

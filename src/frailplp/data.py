@@ -129,11 +129,6 @@ class FailureDataset:
     def __len__(self):
         return self.time.size
 
-    def system_times(self, system_id):
-        """Ordered failure times of one system (a read-only view)."""
-        lo, hi = np.searchsorted(self.system_id, [system_id, system_id + 1])
-        return self.time[lo:hi]
-
 
 @dataclass(frozen=True)
 class CountSummary:

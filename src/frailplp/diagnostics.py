@@ -28,8 +28,6 @@ GEWEKE_MIN_DRAWS = 100
 @dataclass(frozen=True)
 class GewekeResult:
     z_score: float
-    first_frac: float
-    last_frac: float
 
     @property
     def passed(self):
@@ -82,9 +80,9 @@ def geweke(chain, first_frac=0.1, last_frac=0.5) -> GewekeResult:
     s_b = _spectral_variance_at_zero(b)
     denom = s_a / n_a + s_b / n_b
     if denom <= 0:
-        return GewekeResult(0.0, first_frac, last_frac)
+        return GewekeResult(0.0)
     z = (a.mean() - b.mean()) / math.sqrt(denom)
-    return GewekeResult(float(z), first_frac, last_frac)
+    return GewekeResult(float(z))
 
 
 def autocorrelation(chain, max_lag):

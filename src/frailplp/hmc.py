@@ -249,12 +249,14 @@ def hmc_update(target, config: HmcConfig, rng, step_size=None):
 class DualAveraging:
     """Nesterov dual-averaging step-size adaptation toward a target acceptance."""
 
-    def __init__(self, eps0, target=0.8, gamma=0.05, t0=10.0, kappa=0.75):
+    # shrinkage, iteration offset and averaging decay of Hoffman & Gelman (2014)
+    gamma = 0.05
+    t0 = 10.0
+    kappa = 0.75
+
+    def __init__(self, eps0, target=0.8):
         self.mu = math.log(10.0 * eps0)
         self.target = target
-        self.gamma = gamma
-        self.t0 = t0
-        self.kappa = kappa
         self.log_eps = math.log(eps0)
         self.log_eps_bar = math.log(eps0)
         self.h_bar = 0.0

@@ -44,9 +44,6 @@ __all__ = [
     "PlpPosterior",
     "ParameterEstimate",
     "ImproperPosteriorError",
-    "intensity",
-    "mean_function",
-    "log_likelihood",
     "mle",
     "classic_mle",
     "posterior",
@@ -81,10 +78,6 @@ class PlpParams:
     def K(self):
         return self.beta.size
 
-    def scale(self, T):
-        """Legacy scale parameters psi_q = T / alpha_q^(1/beta_q)."""
-        return T / self.alpha ** (1.0 / self.beta)
-
 
 @dataclass(frozen=True)
 class PriorConfig:
@@ -97,8 +90,8 @@ class PriorConfig:
     zeta: float = 2.0
 
     def __post_init__(self):
-        if self.zeta < 0:
-            raise ValueError("zeta must be nonnegative")
+        if not 0.0 <= self.zeta < math.inf:  # also rejects nan
+            raise ValueError(f"zeta must be finite and nonnegative, got {self.zeta}")
 
 
 _EPS = float(np.finfo(float).eps)
@@ -245,16 +238,6 @@ class GammaMarginal:
     def sd(self):
         return math.sqrt(self.shape) / self.rate
 
-    def cdf(self, x):
-        """P(X <= x), elementwise for x >= 0."""
-        p, _, _ = _gamma_pq(self.shape, self.rate * np.asarray(x, dtype=float))
-        return p.reshape(np.shape(x))[()]
-
-    def sf(self, x):
-        """P(X > x) = 1 - cdf(x), without the cancellation in the upper tail."""
-        _, q, _ = _gamma_pq(self.shape, self.rate * np.asarray(x, dtype=float))
-        return q.reshape(np.shape(x))[()]
-
     def ppf(self, p):
         """Quantile at probability p (scalar or array): 0 at p = 0, inf at p = 1.
 
@@ -318,50 +301,6 @@ class PlpPosterior:
         return len(self.beta_marginals)
 
 
-def intensity(params: PlpParams, cause: int, t, T, z=1.0):
-    """Cause-specific failure rate at time t, scaled by the frailty z."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("intensity requires t > 0")
-    if np.any(t > T):
-        raise ValueError("intensity is defined on (0, T]")
-    if z <= 0:
-        raise ValueError("frailty must be positive")
-    b = params.beta[cause - 1]
-    a = params.alpha[cause - 1]
-    return z * b * a * t ** (b - 1.0) * T ** (-b)
-
-
-def mean_function(params: PlpParams, cause: int, z=1.0):
-    """Expected number of cause-q failures per system on (0, T]: z * alpha_q."""
-    if z <= 0:
-        raise ValueError("frailty must be positive")
-    return z * params.alpha[cause - 1]
-
-
-def log_likelihood(params: PlpParams, z, summary: CountSummary):
-    """Joint log-likelihood of all systems given frailties z (length m).
-
-    A cause-q failure of system j at time t adds log z_j - (beta_q - 1) log(T / t)
-    + log(beta_q alpha_q / T) and each system the exposure -z_j * sum_q alpha_q,
-    so the times enter the exact total only through the log-ratio sums S_q.
-    """
-    d = summary.design
-    z = np.asarray(z, dtype=float)
-    if z.shape != (d.m,):
-        raise ValueError(f"frailty vector must have length m={d.m}")
-    if params.K != d.K:
-        raise ValueError(f"params have K={params.K}, dataset has K={d.K}")
-    if np.any(z <= 0):
-        raise ValueError("frailties must be positive")
-    exposure = float(z.sum() * params.alpha.sum())
-    per_cause = (
-        summary.n_q * np.log(params.beta * params.alpha / d.T)
-        - (params.beta - 1.0) * summary.log_ratio_sums
-    )
-    return float(summary.n_j @ np.log(z)) + float(per_cause.sum()) - exposure
-
-
 def mle(summary: CountSummary) -> np.ndarray:
     """Per-cause MLE beta_hat_q = n_q / sum log(T / t) over cause-q failures."""
     n_q = summary.n_q
@@ -395,7 +334,7 @@ def posterior(summary: CountSummary, prior: PriorConfig = PriorConfig()) -> PlpP
             raise ImproperPosteriorError(
                 f"cause {q + 1}: n_q={n_q[q]} <= zeta-1={zeta - 1}; posterior improper"
             )
-    beta_hat = n_q / summary.log_ratio_sums
+    beta_hat = mle(summary)  # raises for a cause with no failures, which zeta < 1 lets pass
     betas = tuple(
         GammaMarginal(shape=float(nq + 1.0 - zeta), rate=float(nq / bh))
         for nq, bh in zip(n_q, beta_hat)

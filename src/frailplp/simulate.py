@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FailureDataset, ObservationDesign, _read_rows, _write_rows
+from .data import FailureDataset, ObservationDesign, _write_rows
 from .plp import PlpParams
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "draw_frailties",
     "simulate",
     "write_frailties",
-    "read_frailties",
 ]
 
 # Named per-cause parameter scenarios for the Monte Carlo scorecards.
@@ -74,22 +73,20 @@ class FrailtyMixture:
 
 @dataclass(frozen=True)
 class SimScenario:
-    """Everything needed to generate one synthetic fleet."""
+    """One synthetic fleet; frailties from `frailty_family`, else gamma with variance eta."""
 
     design: ObservationDesign
     true_params: PlpParams
     eta: float = 0.0
-    frailty_family: str | FrailtyMixture = "gamma"
+    frailty_family: FrailtyMixture | None = None
     seed: int = 0
     normalize_frailties: bool = False
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("frailty variance must be nonnegative")
+        if not 0.0 <= self.eta < np.inf:  # also rejects nan
+            raise ValueError(f"frailty variance eta must be finite and nonnegative, got {self.eta}")
         if self.true_params.K != self.design.K:
             raise ValueError("true_params must have one (beta, alpha) pair per cause")
-        if isinstance(self.frailty_family, str) and self.frailty_family != "gamma":
-            raise ValueError(f"unknown frailty family {self.frailty_family!r}")
 
 
 def _stream(seed, key):
@@ -106,7 +103,7 @@ def draw_frailties(scenario: SimScenario) -> np.ndarray:
     m = scenario.design.m
     rng = _stream(scenario.seed, 0)
     fam = scenario.frailty_family
-    if isinstance(fam, FrailtyMixture):
+    if fam is not None:
         z = fam.sample(m, rng)
     elif scenario.eta == 0.0:
         z = np.ones(m)
@@ -178,12 +175,3 @@ def write_frailties(path, z) -> None:
         fh.write("system_id,z\n")
         _write_rows(fh, np.arange(1, z.size + 1), z)
 
-
-_FRAILTY_ROW = np.dtype([("system_id", np.int64), ("z", np.float64)])
-
-
-def read_frailties(path) -> np.ndarray:
-    """The frailty column of a `write_frailties` sidecar (its first line is the header)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        return _read_rows(fh, _FRAILTY_ROW, 2)["z"].copy()

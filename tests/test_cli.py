@@ -1,6 +1,8 @@
 """Command-line interface: workflows, exit codes, reproducibility."""
 
+import ast
 import csv
+import importlib
 import json
 import math
 import os
@@ -14,7 +16,6 @@ import pytest
 
 from frailplp.cli import main, _write_matrix, EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL
 from frailplp.data import _CHUNK_VALUES, ingest
-from frailplp.simulate import read_frailties
 
 from conftest import COLUMNS, make_dataset
 from frailplp.data import ObservationDesign, write_dataset
@@ -24,6 +25,11 @@ from frailplp.simulate import SimScenario, simulate
 
 def run(*argv):
     return main(list(argv))
+
+
+def read_truth(path):
+    """The frailty column of a simulated fleet's truth file."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=1)
 
 
 @pytest.fixture
@@ -61,14 +67,14 @@ class TestSimulate:
     def test_writes_dataset_and_truth(self, fleet_csv):
         data = ingest(fleet_csv)
         assert data.design.m == 40
-        z = read_frailties(str(fleet_csv) + ".truth.csv")
+        z = read_truth(str(fleet_csv) + ".truth.csv")
         assert z.size == 40
         assert z.mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_variance_truth_is_all_ones(self, tmp_path):
         out = tmp_path / "d.csv"
         assert run("simulate", "--out", str(out), "--eta", "0", "--seed", "1") == EXIT_OK
-        assert np.all(read_frailties(str(out) + ".truth.csv") == 1.0)
+        assert np.all(read_truth(str(out) + ".truth.csv") == 1.0)
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -91,7 +97,7 @@ class TestSimulate:
             "--seed", "2",
         )
         assert code == EXIT_OK
-        z = read_frailties(str(out) + ".truth.csv")
+        z = read_truth(str(out) + ".truth.csv")
         assert z.mean() == pytest.approx(1.0, abs=0.1)
 
     def test_output_in_missing_directory_is_config_error(self, tmp_path, capsys):
@@ -155,6 +161,16 @@ class TestFit:
         path = tmp_path / "one.csv"
         write_dataset(path, make_dataset(m=2, events=[(1, 1, 5.0)]))
         assert run("fit", "--data", str(path), "--out", str(tmp_path / "e.csv")) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("zeta", ["0", "0.5"])
+    def test_cause_without_failures_is_numerical_error(self, tmp_path, capsys, zeta):
+        # n_q = 0 > zeta - 1 passes the propriety check, but beta_hat_q is 0 / 0
+        path = tmp_path / "no_cause_2.csv"
+        write_dataset(path, make_dataset(m=3, K=2, events=[(1, 1, 2.0), (2, 1, 5.0), (3, 1, 9.0)]))
+        out = tmp_path / "e.csv"
+        assert run("fit", "--data", str(path), "--out", str(out), "--zeta", zeta) == EXIT_NUMERICAL
+        assert "numerical failure: cause 2 has no failures" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_short_duane_cause_is_data_error_before_any_output(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
@@ -258,6 +274,12 @@ class TestFit:
         (["benchmark", "--T", "-3", "--M", "1"], "truncation time must be positive"),
         (["fit", "--T", "20", "--m", "0", "--K", "2"], "need at least one system"),
         (["mcmc", "--T", "inf", "--m", "3", "--K", "1"], "truncation time must be positive"),
+        (["fit", "--zeta", "nan"], "zeta must be finite"),
+        (["fit", "--zeta", "inf"], "zeta must be finite"),
+        (["benchmark", "--zeta", "nan", "--M", "1"], "zeta must be finite"),
+        (["simulate", "--eta", "nan"], "frailty variance eta must be finite"),
+        (["simulate", "--eta", "inf"], "frailty variance eta must be finite"),
+        (["benchmark", "--eta", "nan", "--M", "1"], "frailty variance eta must be finite"),
     ],
 )
 def test_bad_design_flags_are_config_error(tmp_path, capsys, fleet_csv, argv, message):
@@ -761,3 +783,27 @@ class TestRuntimeDependencies:
         # numpy 2 loads numpy.fft on first use; the diagnostics touch it only
         # when called, so importing the CLI does not pay for it.
         assert fft_at_import == "False"
+
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "frailplp"
+
+
+class TestPublicNames:
+    """A deleted function must take its exports with it."""
+
+    @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+    def test_every_name_in_all_resolves(self, module):
+        name = "frailplp" if module == "__init__" else f"frailplp.{module}"
+        mod = importlib.import_module(name)
+        assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+    def test_every_name_the_package_imports_resolves(self):
+        package = importlib.import_module("frailplp")
+        tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+        imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+        assert imports
+        for node in imports:
+            source = importlib.import_module(f"frailplp.{node.module}")
+            for alias in node.names:
+                assert hasattr(source, alias.name), (node.module, alias.name)
+                assert hasattr(package, alias.asname or alias.name), alias.name

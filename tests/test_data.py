@@ -69,8 +69,6 @@ class TestValidation:
         for name in COLUMNS:
             with pytest.raises(ValueError):
                 getattr(data, name)[0] = 1
-        with pytest.raises(ValueError):
-            data.system_times(1)[0] = 4.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             data.time = np.array([1.0, 2.0])
 
@@ -88,9 +86,10 @@ class TestValidation:
         assert summarize(data).n == 0
 
     def test_system_times(self):
+        # each system's times are one ordered run of the columns
         data = make_dataset(events=[(1, 1, 7.0), (2, 1, 1.0), (1, 1, 2.0)])
-        assert np.array_equal(data.system_times(1), [2.0, 7.0])
-        assert np.array_equal(data.system_times(2), [1.0])
+        assert data.system_id.tolist() == [1, 1, 2]
+        assert data.time.tolist() == [2.0, 7.0, 1.0]
 
 
 class TestSummarize:

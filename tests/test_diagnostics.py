@@ -69,11 +69,6 @@ class TestGeweke:
         assert math.isfinite(geweke(chain, first_frac=0.5, last_frac=0.5).z_score)
         assert math.isfinite(geweke(chain, first_frac=0.002, last_frac=0.002).z_score)
 
-    def test_segment_fractions_recorded(self):
-        rng = np.random.default_rng(2)
-        r = geweke(rng.standard_normal(1000), first_frac=0.2, last_frac=0.4)
-        assert (r.first_frac, r.last_frac) == (0.2, 0.4)
-
     def test_calibrated_against_autocorrelation(self):
         # strongly autocorrelated but stationary chains alarm more than the
         # nominal 5% (the early segment is short relative to the correlation

@@ -16,9 +16,7 @@ from frailplp.plp import (
     PriorConfig,
     GammaMarginal,
     ImproperPosteriorError,
-    intensity,
-    mean_function,
-    log_likelihood,
+    _gamma_pq,
     mle,
     classic_mle,
     posterior,
@@ -31,40 +29,54 @@ from frailplp.simulate import SimScenario, simulate
 from conftest import make_dataset
 
 
+def rate(params, cause, t, T, z=1.0):
+    """Cause-specific failure rate z * beta_q * alpha_q * t^(beta_q - 1) * T^(-beta_q)."""
+    b = params.beta[cause - 1]
+    a = params.alpha[cause - 1]
+    return z * b * a * t ** (b - 1.0) * T ** (-b)
+
+
+def summary_log_likelihood(params, z, summary):
+    """Joint log-likelihood of all systems given frailties z, from the summary alone.
+
+    A cause-q failure of system j at time t adds log z_j - (beta_q - 1) log(T / t)
+    + log(beta_q alpha_q / T) and each system the exposure -z_j * sum_q alpha_q,
+    so the times enter the exact total only through the log-ratio sums S_q.
+    """
+    n_jq = summary.n_jq
+    per_cause = (
+        n_jq.sum(axis=0) * np.log(params.beta * params.alpha / summary.design.T)
+        - (params.beta - 1.0) * summary.log_ratio_sums
+    )
+    return float(n_jq.sum(axis=1) @ np.log(z) + per_cause.sum() - z.sum() * params.alpha.sum())
+
+
 class TestIntensityAndMean:
+    """The per-event rate that the likelihood oracle below integrates."""
+
     def test_unit_elasticity_gives_constant_rate(self):
         p = PlpParams(beta=np.array([1.0]), alpha=np.array([5.0]))
-        assert intensity(p, 1, 10.0, T=20.0, z=1.0) == pytest.approx(0.25)
-        assert intensity(p, 1, 0.5, T=20.0, z=1.0) == pytest.approx(0.25)
+        assert rate(p, 1, 10.0, T=20.0, z=1.0) == pytest.approx(0.25)
+        assert rate(p, 1, 0.5, T=20.0, z=1.0) == pytest.approx(0.25)
 
     def test_frailty_scales_rate_multiplicatively(self):
         p = PlpParams(beta=np.array([1.3]), alpha=np.array([5.0]))
-        base = intensity(p, 1, 10.0, T=20.0, z=1.0)
-        assert intensity(p, 1, 10.0, T=20.0, z=2.5) == pytest.approx(2.5 * base)
+        base = rate(p, 1, 10.0, T=20.0, z=1.0)
+        assert rate(p, 1, 10.0, T=20.0, z=2.5) == pytest.approx(2.5 * base)
 
     def test_rate_increases_iff_elasticity_above_one(self):
         grow = PlpParams(beta=np.array([1.5]), alpha=np.array([5.0]))
         decay = PlpParams(beta=np.array([0.5]), alpha=np.array([5.0]))
-        assert intensity(grow, 1, 15.0, T=20.0) > intensity(grow, 1, 5.0, T=20.0)
-        assert intensity(decay, 1, 15.0, T=20.0) < intensity(decay, 1, 5.0, T=20.0)
+        assert rate(grow, 1, 15.0, T=20.0) > rate(grow, 1, 5.0, T=20.0)
+        assert rate(decay, 1, 15.0, T=20.0) < rate(decay, 1, 5.0, T=20.0)
 
     def test_integrated_rate_equals_expected_count(self):
-        # The mean function is the integral of the rate over the window.
+        # alpha_q is the expected number of cause-q failures per unit-frailty
+        # system: the rate integrates to z * alpha_q over the window.
         p = PlpParams(beta=np.array([1.7, 0.6]), alpha=np.array([5.0, 13.33]))
         for q, z in ((1, 1.0), (2, 2.0)):
-            total, _ = integrate.quad(
-                lambda t: intensity(p, q, t, T=20.0, z=z), 1e-12, 20.0
-            )
-            assert total == pytest.approx(mean_function(p, q, z=z), rel=1e-6)
-
-    def test_domain_checks(self):
-        p = PlpParams(beta=np.array([1.0]), alpha=np.array([5.0]))
-        with pytest.raises(ValueError):
-            intensity(p, 1, 25.0, T=20.0)
-        with pytest.raises(ValueError):
-            intensity(p, 1, 0.0, T=20.0)
-        with pytest.raises(ValueError):
-            intensity(p, 1, 5.0, T=20.0, z=0.0)
+            total, _ = integrate.quad(lambda t: rate(p, q, t, T=20.0, z=z), 1e-12, 20.0)
+            assert total == pytest.approx(z * p.alpha[q - 1], rel=1e-6)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -72,15 +84,10 @@ class TestIntensityAndMean:
         with pytest.raises(ValueError):
             PlpParams(beta=np.array([-1.0]), alpha=np.array([1.0]))
 
-    def test_legacy_scale_round_trip(self):
-        # alpha = (T / psi)^beta, so scale() must invert that relation.
-        p = PlpParams(beta=np.array([1.4]), alpha=np.array([7.0]))
-        T = 20.0
-        psi = p.scale(T)[0]
-        assert (T / psi) ** p.beta[0] == pytest.approx(p.alpha[0])
-
 
 class TestLogLikelihood:
+    """summarize's (n_jq, log_ratio_sums) give the exact NHPP log-likelihood."""
+
     def _oracle(self, params, z, data):
         """Independent NHPP likelihood: product of event rates times the
         exponential of the numerically integrated total rate per system."""
@@ -88,11 +95,11 @@ class TestLogLikelihood:
         total = 0.0
         events = zip(data.system_id.tolist(), data.cause.tolist(), data.time.tolist())
         for j, q, t in events:
-            total += math.log(intensity(params, q, t, d.T, z=z[j - 1]))
+            total += math.log(rate(params, q, t, d.T, z=z[j - 1]))
         for j in range(1, d.m + 1):
             for q in range(1, d.K + 1):
                 cum, _ = integrate.quad(
-                    lambda t: intensity(params, q, t, d.T, z=z[j - 1]), 1e-12, d.T
+                    lambda t: rate(params, q, t, d.T, z=z[j - 1]), 1e-12, d.T
                 )
                 total -= cum
         return total
@@ -106,7 +113,7 @@ class TestLogLikelihood:
         )
         params = PlpParams(beta=np.array([1.3, 0.8]), alpha=np.array([2.0, 1.5]))
         z = np.array([0.5, 1.0, 2.2])
-        assert log_likelihood(params, z, summarize(data)) == pytest.approx(
+        assert summary_log_likelihood(params, z, summarize(data)) == pytest.approx(
             self._oracle(params, z, data), rel=1e-8
         )
 
@@ -114,7 +121,7 @@ class TestLogLikelihood:
         data = make_dataset(T=20.0, m=2, K=1, events=[(1, 1, 3.0), (2, 1, 11.0)])
         params = PlpParams(beta=np.array([0.9]), alpha=np.array([4.0]))
         ones = np.ones(2)
-        assert log_likelihood(params, ones, summarize(data)) == pytest.approx(
+        assert summary_log_likelihood(params, ones, summarize(data)) == pytest.approx(
             self._oracle(params, ones, data), rel=1e-8
         )
 
@@ -129,19 +136,11 @@ class TestLogLikelihood:
         expected_shift = float(
             np.sum(s.n_j * np.log(z)) - (z.sum() - 3) * params.alpha.sum()
         )
-        shift = log_likelihood(params, z, s) - log_likelihood(params, np.ones(3), s)
+        shift = summary_log_likelihood(params, z, s) - summary_log_likelihood(params, np.ones(3), s)
         assert shift == pytest.approx(expected_shift, rel=1e-10)
-
-    def test_dimension_checks(self):
-        s = summarize(make_dataset(T=20.0, m=2, K=1, events=[(1, 1, 3.0)]))
-        params = PlpParams(beta=np.array([0.9]), alpha=np.array([4.0]))
-        with pytest.raises(ValueError):
-            log_likelihood(params, np.ones(3), s)
-        with pytest.raises(ValueError):
-            log_likelihood(params, np.array([1.0, -1.0]), s)
-        two_cause = PlpParams(beta=np.array([0.9, 1.0]), alpha=np.array([4.0, 1.0]))
-        with pytest.raises(ValueError):
-            log_likelihood(two_cause, np.ones(2), s)
+        # and the oracle agrees, so the shift is not one of the summary form alone
+        oracle_shift = self._oracle(params, z, data) - self._oracle(params, np.ones(3), data)
+        assert oracle_shift == pytest.approx(expected_shift, rel=1e-8)
 
 
 class TestMle:
@@ -248,30 +247,25 @@ class TestIncompleteGamma:
         assert _rel(x * rate, gammaincinv(shape, p)) <= 1e-13
 
     def test_cdf_sf_match_gammainc_on_grid(self):
-        # scipy's own P and Q drift by up to ~4e-13 on this grid (its log
-        # prefactor a log x - x - lgamma(a) cancels), so the 1e-13 check is
-        # against 30-digit mpmath on a subgrid and scipy gets a 1e-12 band.
+        # _gamma_pq's P and Q score the harness's interval coverage.  scipy's
+        # own P and Q drift by up to ~4e-13 on this grid (its log prefactor
+        # a log x - x - lgamma(a) cancels), so the 1e-13 check is against
+        # 30-digit mpmath on a subgrid and scipy gets a 1e-12 band.
         for shape in SHAPES:
-            g = GammaMarginal(shape=shape, rate=1.0)
             x = gammaincinv(shape, PROBS)
-            assert _rel(g.cdf(x), gammainc(shape, x)).max() <= 1e-12, shape
-            assert _rel(g.sf(x), gammaincc(shape, x)).max() <= 1e-12, shape
+            p, q, _ = _gamma_pq(shape, x)
+            assert _rel(p, gammainc(shape, x)).max() <= 1e-12, shape
+            assert _rel(q, gammaincc(shape, x)).max() <= 1e-12, shape
         with mpmath.workdps(30):
             for shape in SHAPES[::3]:
-                g = GammaMarginal(shape=shape, rate=1.0)
                 x = gammaincinv(shape, PROBS[::2])
                 lower = np.array([float(mpmath.gammainc(shape, 0, v, regularized=True)) for v in x])
                 upper = np.array([float(mpmath.gammainc(shape, v, mpmath.inf, regularized=True)) for v in x])
-                assert _rel(g.cdf(x), lower).max() <= 1e-13, shape
-                assert _rel(g.sf(x), upper).max() <= 1e-13, shape
-
-    def test_cdf_sf_scale_by_rate_and_keep_shape(self):
-        g = GammaMarginal(shape=3.7, rate=1.9)
-        x = np.array([[0.5, 2.0], [4.0, 9.0]])
-        assert g.cdf(x).shape == x.shape
-        assert np.allclose(g.cdf(x), gamma_dist.cdf(x, a=3.7, scale=1 / 1.9), rtol=1e-13, atol=0)
-        assert np.allclose(g.sf(x), gamma_dist.sf(x, a=3.7, scale=1 / 1.9), rtol=1e-13, atol=0)
-        assert g.cdf(0.0) == 0.0 and g.sf(0.0) == 1.0
+                p, q, _ = _gamma_pq(shape, x)
+                assert _rel(p, lower).max() <= 1e-13, shape
+                assert _rel(q, upper).max() <= 1e-13, shape
+        p, q, _ = _gamma_pq(3.7, 0.0)
+        assert (p[0], q[0]) == (0.0, 1.0)
 
     def test_ppf_endpoints(self):
         g = GammaMarginal(shape=2.5, rate=3.0)
@@ -332,6 +326,14 @@ class TestPosterior:
         # but is proper under a flatter prior
         post = posterior(s, PriorConfig(zeta=0.0))
         assert post.beta_marginals[0].shape == pytest.approx(2.0)
+        # a cause with no failures has no MLE, so no posterior, even under the
+        # flatter priors that its count n_q = 0 > zeta - 1 passes
+        no_cause_2 = summarize(make_dataset(
+            T=20.0, m=3, K=2, events=[(1, 1, 2.0), (2, 1, 5.0), (3, 1, 9.0)]
+        ))
+        for zeta in (0.0, 0.5):
+            with pytest.raises(ImproperPosteriorError, match="cause 2 has no failures"):
+                posterior(no_cause_2, PriorConfig(zeta=zeta))
 
     def test_point_mean_shrinkage_factor(self):
         # posterior mean of the elasticity is ((n_q + 1 - zeta) / n_q) * MLE
