@@ -14,7 +14,6 @@ from .data import (
 from .plp import (
     PlpParams,
     PriorConfig,
-    PlpPosterior,
     mle,
     posterior,
     bayes_estimates,

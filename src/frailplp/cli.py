@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -74,9 +73,12 @@ def _parse_args(argv):
     A first pass, with no flag required, finds the command and its file; a
     flag the file gives is then no longer required.  argparse resolves every
     flag given on the command line, abbreviated or not, over the file, and
-    converts the file's strings with each flag's type.
+    converts the file's strings with each flag's type.  A key must name a
+    flag of some command; one of another command is skipped, so that one
+    file can serve several commands.
     """
     parser = build_parser()
+    flags = {a.dest for p in parser.commands.values() for a in p._actions if a.option_strings} - {"help"}
     required = [a for p in parser.commands.values() for a in p._actions if a.required]
     for action in required:
         action.required = False
@@ -84,7 +86,9 @@ def _parse_args(argv):
     command = parser.commands[args.command]
     defaults = {}
     for key, value in (_load_config_file(args.config) if args.config else {}).items():
-        if not hasattr(args, key):
+        if key not in flags:
+            raise ConfigError(f"{args.config}: unknown key {key!r}; it names no flag of any command")
+        if not hasattr(args, key):  # a flag of another command
             continue
         if isinstance(command.get_default(key), bool):
             value = value.lower() in ("1", "true", "yes")
@@ -118,26 +122,27 @@ def _write_estimates(path, rows):
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "mean", "sd", "ci_low", "ci_high"])
-            for r in rows:
-                writer.writerow([r.name, f"{r.mean!r}", f"{r.sd!r}", f"{r.ci_low!r}", f"{r.ci_high!r}"])
+        values = np.array([(r.mean, r.sd, r.ci_low, r.ci_high) for r in rows])
+        _write_table(path, ["parameter", "mean", "sd", "ci_low", "ci_high"], [r.name for r in rows], values)
+
+
+def _write_table(path, header, *fields):
+    """The header, then the CSV rows `data._write_rows` makes of the `fields`, in CRLF lines."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        _write_rows(fh, *fields, end="\r\n")
 
 
 def _write_matrix(path, header, *fields):
-    """One CSV row per leading index: the index, then each field's values.
+    """A `_write_table` of float fields after an index column.
 
     A 1-D field is one column, a 2-D field one column per entry of its second
     axis.  The index counts from 0 and is written from a range, so no index
-    array is built; every value is cast to float and written as its shortest
-    round-trip repr (an int count prints as ``3.0``), with the CRLF line ends
-    of csv.writer, by the chunked `data._write_rows`.
+    array is built; every value is cast to float (an int count prints as
+    ``3.0``).
     """
     fields = [np.asarray(f, dtype=float) for f in fields]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        _write_rows(fh, range(len(fields[0])), *fields, end="\r\n")
+    _write_table(path, header, range(len(fields[0])), *fields)
 
 
 def _design(T, m, K):
@@ -341,15 +346,14 @@ def cmd_benchmark(args):
         mcmc_iterations=args.mcmc_iterations,
         mcmc_burn_in=args.mcmc_burn_in,
     )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eta", "m", "M", "parameter", "truth", "bias", "mse", "rmse", "cp95", "mc_se"])
-        for r in report.rows:
-            writer.writerow(
-                [args.eta, args.m, args.M, r.name]
-                + [f"{float(v)!r}" for v in (r.truth, r.bias, r.mse, r.rmse, r.cp95, r.mc_se)]
-            )
-    for r in report.rows:
+    rows = report.values()
+    _write_table(
+        args.out,
+        ["eta", "m", "M", "parameter", "truth", "bias", "mse", "rmse", "cp95", "mc_se"],
+        [f"{args.eta!r},{args.m},{args.M},{r.name}" for r in rows],
+        np.array([(r.truth, r.bias, r.mse, r.rmse, r.cp95, r.mc_se) for r in rows]),
+    )
+    for r in rows:
         print(
             f"{r.name:>8}  bias={r.bias:+.4f}  mse={r.mse:.4f}  rmse={r.rmse:.4f}  cp95={r.cp95:.4f}"
         )

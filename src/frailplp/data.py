@@ -285,17 +285,18 @@ _CHUNK_VALUES = 1024
 def _write_rows(fh, *fields, end="\n"):
     """Write one CSV row per leading index of the `fields` to an open text file.
 
-    Every field has the same number of rows: a 1-D array or a range gives one
-    value per row, a 2-D array several, and the fields' values are joined left
-    to right with commas.  Each value is written as the repr of its Python
-    scalar (``tolist()``), so a float prints as its shortest round-trip form
-    and an int as its digits.  Each row ends in `end`; open `fh` with
-    ``newline=""`` when `end` is not ``"\n"``, since a text file that
-    translates line ends copies every chunk once more.  The rows are built and
+    Every field has the same number of rows: a 1-D array, a range or a list
+    of texts gives one value per row, a 2-D array several, and the fields'
+    values are joined left to right with commas.  A text is written as it is
+    and any other value as the repr of its Python scalar (``tolist()``), so a
+    float prints as its shortest round-trip form and an int as its digits.
+    Each row ends in `end`; open `fh` with ``newline=""`` when `end` is not
+    ``"\n"``, since a text file that translates line ends copies every chunk
+    once more.  The rows are built and
     written a chunk of about `_CHUNK_VALUES` values at a time (`_cell_chunks`);
     a 2-D row whose bytes equal the row before it reuses that row's text.
     """
-    width = sum(1 if isinstance(f, range) or f.ndim == 1 else f.shape[1] for f in fields)
+    width = sum(1 if isinstance(f, (range, list)) or f.ndim == 1 else f.shape[1] for f in fields)
     step = max(1, _CHUNK_VALUES // width)
     for cells in zip(*(_cell_chunks(f, step) for f in fields)):
         fh.write(end.join(map(",".join, zip(*cells))))
@@ -305,15 +306,16 @@ def _write_rows(fh, *fields, end="\n"):
 def _cell_chunks(field, step):
     """The texts of one field's rows, `step` rows per chunk.
 
-    A chunk of a range or a 1-D array is a column of reprs.  A 2-D field's
+    A chunk of a list of texts is those texts, and a chunk of a range or a
+    1-D array a column of reprs (an int's str is its repr).  A 2-D field's
     rows are joined one by one, except that a row whose bytes equal the row
     before it (a rejected move repeats a trace's draw) reuses that row's text.
     Comparing bytes rather than values keeps -0.0 after 0.0, and NaN rows,
     exact.
     """
     starts = range(0, len(field), step)
-    if isinstance(field, range):
-        yield from (map(repr, field[lo : lo + step]) for lo in starts)
+    if isinstance(field, (range, list)):
+        yield from (map(str, field[lo : lo + step]) for lo in starts)
     elif field.ndim == 1:
         yield from (map(repr, field[lo : lo + step].tolist()) for lo in starts)
     else:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import summarize
-from .plp import PriorConfig, _gamma_pq, posterior as plp_posterior
+from .plp import PriorConfig, _gamma_pq, parameter_names, posterior as plp_posterior
 from .simulate import SimScenario, simulate
 from . import dpm
 
@@ -18,7 +18,6 @@ __all__ = [
     "autocorrelation",
     "ess",
     "HarnessRow",
-    "HarnessReport",
     "run_harness",
 ]
 
@@ -133,19 +132,6 @@ class HarnessRow:
     mc_se: float
 
 
-@dataclass(frozen=True)
-class HarnessReport:
-    scenario: SimScenario
-    M: int
-    rows: list[HarnessRow]
-
-    def row(self, name) -> HarnessRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
 def _summarize_param(name, truth, estimates, covered):
     est = np.asarray(estimates, dtype=float)
     err = est - truth
@@ -168,9 +154,10 @@ def _interval_covers(shape, rate, truth):
     2.5%, so one incomplete-gamma call scores a whole array of marginals
     without computing a quantile.
     """
-    lower, upper, _ = _gamma_pq(shape, rate * truth)
+    x = rate * truth
+    lower, upper, _ = _gamma_pq(shape, x)
     half = (1.0 - 0.95) / 2.0
-    return (lower >= half) & (upper >= half)
+    return ((lower >= half) & (upper >= half)).reshape(np.broadcast(shape, x).shape)
 
 
 def run_harness(
@@ -180,40 +167,37 @@ def run_harness(
     with_mcmc: bool = False,
     mcmc_iterations: int = 1500,
     mcmc_burn_in: int = 500,
-) -> HarnessReport:
+) -> dict[str, HarnessRow]:
     """Replicate simulate-then-estimate M times and score the estimators.
 
-    Reports bias, MSE, RMSE, CP95 and the Monte Carlo standard error per PLP
-    parameter.  Frailties are renormalized to sample mean 1 inside each
-    replication, honoring the model constraint mean(Z) = 1 under which the
-    closed-form intervals are calibrated.  With with_mcmc set, the frailty
-    variance is re-estimated per replication by a short DPM chain at the
-    default hyperpriors and HMC settings.
+    Returns {name: HarnessRow} in `parameter_names` order: bias, MSE, RMSE,
+    CP95 and the Monte Carlo standard error.  The posterior shapes and rates
+    fill (2K, M) arrays, one contiguous row per parameter, and one
+    incomplete-gamma call scores every interval.  Frailties are renormalized
+    to sample mean 1 inside each replication, honoring the model constraint
+    mean(Z) = 1 under which the closed-form intervals are calibrated.  With
+    with_mcmc set, a short DPM chain per replication, at the default
+    hyperpriors and HMC settings, scores the frailty variance as an "eta" row.
     """
     if M < 1:
         raise ValueError("need at least one replication")
-    K = scenario.design.K
-    truths = [(f"beta_{q + 1}", float(scenario.true_params.beta[q])) for q in range(K)]
-    truths += [(f"alpha_{q + 1}", float(scenario.true_params.alpha[q])) for q in range(K)]
-
-    marginals = {name: [] for name, _ in truths}  # (shape, rate) per replication
+    params = scenario.true_params
+    truth = np.concatenate([params.beta, params.alpha])
+    shape = np.empty((truth.size, M))
+    rate = np.empty((truth.size, M))
     eta_estimates, eta_covered = [], []
 
     for rep in range(M):
-        rep_scenario = SimScenario(
-            design=scenario.design,
-            true_params=scenario.true_params,
-            eta=scenario.eta,
-            frailty_family=scenario.frailty_family,
+        rep_scenario = replace(
+            scenario,
             seed=int(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(rep,)).generate_state(1)[0]),
             normalize_frailties=True,
         )
-        data, z = simulate(rep_scenario)
+        data, _ = simulate(rep_scenario)
         summary = summarize(data)
         post = plp_posterior(summary, prior)
-        for q in range(K):
-            for kind, marg in (("beta", post.beta_marginals[q]), ("alpha", post.alpha_marginals[q])):
-                marginals[f"{kind}_{q + 1}"].append((marg.shape, marg.rate))
+        shape[:, rep] = post.shape
+        rate[:, rep] = post.rate
         if with_mcmc:
             trace = dpm.run_chain(
                 summary,
@@ -225,10 +209,9 @@ def run_harness(
             eta_estimates.append(vz.mean)
             eta_covered.append(vz.ci_low <= scenario.eta <= vz.ci_high)
 
-    rows = []
-    for name, truth in truths:
-        shape, rate = np.array(marginals[name]).T
-        rows.append(_summarize_param(name, truth, shape / rate, _interval_covers(shape, rate, truth)))
+    covered = _interval_covers(shape, rate, truth[:, None])
+    rows = zip(parameter_names(params.K), truth.tolist(), shape / rate, covered)
+    report = {name: _summarize_param(name, t, est, cov) for name, t, est, cov in rows}
     if with_mcmc:
-        rows.append(_summarize_param("eta", scenario.eta, eta_estimates, eta_covered))
-    return HarnessReport(scenario=scenario, M=M, rows=rows)
+        report["eta"] = _summarize_param("eta", scenario.eta, eta_estimates, eta_covered)
+    return report

@@ -33,9 +33,7 @@ starts without one, and an accepted end point's forward pass becomes the
 current one: one forward pass per leapfrog step, none repeated.  A kick is
 9 numpy calls with one exp into buffers allocated once per target, and one
 target serves a whole chain.  On a 2-core Xeon box a kick took a median
-10.5 us at m=50, 12.0 us at m=500 and 23.2 us at m=5000, against 14.6 us,
-21.1 us and 81.4 us for the stick-breaking kick it replaced, timed
-interleaved in one process (BENCH_sum_zero.json).
+10.5 us at m=50, 12.0 us at m=500 and 23.2 us at m=5000 (BENCH_sum_zero.json).
 """
 
 from __future__ import annotations

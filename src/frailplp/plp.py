@@ -5,6 +5,8 @@ Each cause q has intensity  lam_q(t | z) = z * beta_q * alpha_q * t^(beta_q-1)
 system over (0, T] and beta_q the elasticity.  Under the prior
 pi(alpha, beta) ~ prod alpha_q^-1 beta_q^-zeta the marginal posteriors are
 independent gammas, so point estimates and credible intervals are closed-form.
+`posterior` returns the 2K gammas as one `GammaMarginal` of arrays, in the
+order of `parameter_names`.
 
 The gamma CDF and quantile are computed here with numpy alone, after DiDonato
 & Morris, "Computation of the incomplete gamma function ratios and their
@@ -20,7 +22,9 @@ near a log a and loses about 3e-13 at shape 5e4.
 Below x = a + 1, P is the power series D / a * sum_n x^n / ((a+1)...(a+n)) and
 Q = 1 - P; above it, Q is D times Legendre's continued fraction (modified
 Lentz) and P = 1 - Q.  From shapes of about one upward the smaller of the two
-is thus never formed by cancellation.
+is thus never formed by cancellation.  The power series is summed in blocks
+whose length depends on a alone, so that an element's P, Q and quantile do
+not depend on the other elements of its batch.
 
 The quantile solves P = p (or Q = 1 - p when p > 1/2) by Halley steps from
 the larger of the Wilson-Hilferty value and (p Gamma(a + 1))^(1/a).  The
@@ -41,7 +45,7 @@ __all__ = [
     "PlpParams",
     "PriorConfig",
     "GammaMarginal",
-    "PlpPosterior",
+    "parameter_names",
     "ParameterEstimate",
     "ImproperPosteriorError",
     "mle",
@@ -135,6 +139,7 @@ def _log_prefactor(a, x):
         tn = t[near]
         y = tn / (2.0 + tn)
         y2 = y * y
+        # the largest y2 sets the terms; another's extra ones are below e^-39
         terms = max(1, math.ceil(-39.0 / math.log(max(float(y2.max()), 1e-300))))
         s = np.full_like(y, 1.0 / (2 * terms + 3))
         for k in range(terms - 1, -1, -1):
@@ -156,11 +161,13 @@ def _gamma_pq(a, x):
     q = np.empty_like(x)
 
     low = x < a + 1.0
-    if low.any():
-        # P = D / a * sum_n prod_{k<=n} x / (a + k); the ratios fall below 1,
-        # so the sum stops once the geometric bound on its tail is negligible.
-        al, xl = a[low], x[low]
-        block = int(math.sqrt(80.0 * (float(al.max()) + 1.0))) + 32
+    # P = D / a * sum_n prod_{k<=n} x / (a + k), in blocks whose length depends
+    # on a alone; the ratios fall below 1, so the sum stops once the geometric
+    # bound on its tail is negligible, and a further block cannot move it.
+    blocks = np.sqrt(80.0 * (a + 1.0)).astype(int) + 32
+    for block in set(blocks[low].tolist()):  # np.unique would import numpy.ma
+        at = np.flatnonzero(low & (blocks == block))
+        al, xl = a[at], x[at]
         total = np.ones_like(xl)
         last = np.ones_like(xl)
         n = 0
@@ -173,8 +180,8 @@ def _gamma_pq(a, x):
             r = xl / (al + n + 1.0)
             if not np.any(last * r > _EPS / 16 * total * (1.0 - r)):
                 break
-        p[low] = d[low] / al * total
-        q[low] = 1.0 - p[low]
+        p[at] = d[at] / al * total
+        q[at] = 1.0 - p[at]
 
     high = ~low
     if high.any():
@@ -223,12 +230,21 @@ def _normal_tail_quantile(tail):
     return z + u / (1.0 - 0.5 * z * u)
 
 
-@dataclass(frozen=True)
-class GammaMarginal:
-    """Gamma(shape, rate) marginal with closed-form summaries."""
+def parameter_names(K):
+    """The order of the 2K PLP parameters: beta_1..beta_K, then alpha_1..alpha_K."""
+    return [f"{kind}_{q}" for kind in ("beta", "alpha") for q in range(1, K + 1)]
 
-    shape: float
-    rate: float
+
+@dataclass(frozen=True, eq=False)
+class GammaMarginal:
+    """Gamma(shape, rate) marginals, elementwise over broadcast shapes and rates.
+
+    `posterior` returns one marginal per PLP parameter as arrays of length 2K,
+    in `parameter_names` order.
+    """
+
+    shape: np.ndarray
+    rate: np.ndarray
 
     @property
     def mean(self):
@@ -236,69 +252,57 @@ class GammaMarginal:
 
     @property
     def sd(self):
-        return math.sqrt(self.shape) / self.rate
+        return np.sqrt(self.shape) / self.rate
 
     def ppf(self, p):
-        """Quantile at probability p (scalar or array): 0 at p = 0, inf at p = 1.
+        """Quantiles at p, broadcast against the marginals: 0 at p = 0, inf at p = 1.
 
         Halley steps on P(a, x) = p, or on Q(a, x) = 1 - p above the median,
         each step kept inside (0, inf); an element stops once its step is
         below 1e-8 relative, after which the cubic convergence leaves it
         within rounding of the root.
         """
-        shape_out = np.shape(p)
-        p = np.asarray(p, dtype=float).ravel()
-        a = self.shape
+        a, rate, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (self.shape, self.rate, p)))
+        shape_out = p.shape
+        a, rate, p = a.ravel(), rate.ravel(), p.ravel()
         x = np.full_like(p, np.nan)
         x[p == 0.0] = 0.0
         x[p == 1.0] = np.inf
         todo = np.flatnonzero((p > 0.0) & (p < 1.0))
-        pt = p[todo]
+        pt, at = p[todo], a[todo]
         lower = pt <= 0.5
         qt = 1.0 - pt
         z = _normal_tail_quantile(np.minimum(pt, qt))
         z = np.where(lower, -z, z)
-        wilson = a * np.maximum(1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a)), 0.0) ** 3
-        small = np.exp((np.log(pt) + math.lgamma(a + 1.0)) / a)
+        wilson = at * np.maximum(1.0 - 1.0 / (9.0 * at) + z / (3.0 * np.sqrt(at)), 0.0) ** 3
+        log_gamma = np.array([math.lgamma(v) for v in (at + 1.0).tolist()])
+        small = np.exp((np.log(pt) + log_gamma) / at)
         xt = np.maximum(wilson, small)
         # A start of 0 means the quantile lies below the smallest float.
         x[todo[xt == 0.0]] = 0.0
         keep = xt > 0.0
-        todo, pt, qt, lower, xt = todo[keep], pt[keep], qt[keep], lower[keep], xt[keep]
         for _ in range(100):
+            todo, pt, qt, lower, at, xt = todo[keep], pt[keep], qt[keep], lower[keep], at[keep], xt[keep]
             if todo.size == 0:
                 break
-            P, Q, d = _gamma_pq(a, xt)
+            P, Q, d = _gamma_pq(at, xt)
             # Newton step u = residual / density, density = d / x; Halley
             # scales it by the density's log-derivative (a - 1) / x - 1.
             ratio = np.where(lower, P - pt, qt - Q) / d
-            step = ratio * xt / (1.0 - 0.5 * np.minimum(1.0, ratio * (a - 1.0 - xt)))
+            step = ratio * xt / (1.0 - 0.5 * np.minimum(1.0, ratio * (at - 1.0 - xt)))
             new = xt - step
-            new = np.where(new > 0.0, new, 0.5 * xt)
-            done = np.abs(step) < 1e-8 * new
-            x[todo[done]] = new[done]
+            xt = np.where(new > 0.0, new, 0.5 * xt)
+            done = np.abs(step) < 1e-8 * xt
+            x[todo[done]] = xt[done]
             keep = ~done
-            todo, pt, qt, lower, xt = todo[keep], pt[keep], qt[keep], lower[keep], new[keep]
         x[todo] = xt
-        return (x / self.rate).reshape(shape_out)[()]
+        return (x / rate).reshape(shape_out)[()]
 
     def interval(self, level=0.95):
+        """Equal-tail credible bounds (lo, hi), each shaped like the marginals."""
         half = (1.0 - level) / 2.0
-        lo, hi = self.ppf([half, 1.0 - half])
-        return (float(lo), float(hi))
-
-
-@dataclass(frozen=True)
-class PlpPosterior:
-    """Independent gamma marginals per cause: beta_q and alpha_q."""
-
-    beta_marginals: tuple[GammaMarginal, ...]
-    alpha_marginals: tuple[GammaMarginal, ...]
-    zeta: float
-
-    @property
-    def K(self):
-        return len(self.beta_marginals)
+        lo, hi = self.ppf(np.reshape([half, 1.0 - half], (2,) + (1,) * np.ndim(self.shape)))
+        return lo, hi
 
 
 def mle(summary: CountSummary) -> np.ndarray:
@@ -320,14 +324,13 @@ def classic_mle(summary: CountSummary):
     return beta_hat, mu_hat
 
 
-def posterior(summary: CountSummary, prior: PriorConfig = PriorConfig()) -> PlpPosterior:
-    """Closed-form marginal posteriors.
+def posterior(summary: CountSummary, prior: PriorConfig = PriorConfig()) -> GammaMarginal:
+    """Closed-form marginal posteriors, in `parameter_names` order.
 
     beta_q ~ Gamma(n_q + 1 - zeta, rate n_q / beta_hat_q) and
     alpha_q ~ Gamma(n_q, rate m), independent across all 2K marginals.
     """
     n_q = summary.n_q
-    m = summary.design.m
     zeta = prior.zeta
     for q in range(summary.design.K):
         if n_q[q] <= zeta - 1.0:
@@ -335,12 +338,10 @@ def posterior(summary: CountSummary, prior: PriorConfig = PriorConfig()) -> PlpP
                 f"cause {q + 1}: n_q={n_q[q]} <= zeta-1={zeta - 1}; posterior improper"
             )
     beta_hat = mle(summary)  # raises for a cause with no failures, which zeta < 1 lets pass
-    betas = tuple(
-        GammaMarginal(shape=float(nq + 1.0 - zeta), rate=float(nq / bh))
-        for nq, bh in zip(n_q, beta_hat)
+    return GammaMarginal(
+        shape=np.concatenate([n_q + 1.0 - zeta, n_q]),
+        rate=np.concatenate([n_q / beta_hat, np.full(n_q.size, float(summary.design.m))]),
     )
-    alphas = tuple(GammaMarginal(shape=float(nq), rate=float(m)) for nq in n_q)
-    return PlpPosterior(beta_marginals=betas, alpha_marginals=alphas, zeta=zeta)
 
 
 @dataclass(frozen=True)
@@ -352,16 +353,11 @@ class ParameterEstimate:
     ci_high: float
 
 
-def bayes_estimates(post: PlpPosterior, level=0.95) -> list[ParameterEstimate]:
+def bayes_estimates(post: GammaMarginal, level=0.95) -> list[ParameterEstimate]:
     """Posterior means, SDs and equal-tail credible intervals per parameter."""
-    out = []
-    for q, g in enumerate(post.beta_marginals, start=1):
-        lo, hi = g.interval(level)
-        out.append(ParameterEstimate(f"beta_{q}", g.mean, g.sd, lo, hi))
-    for q, g in enumerate(post.alpha_marginals, start=1):
-        lo, hi = g.interval(level)
-        out.append(ParameterEstimate(f"alpha_{q}", g.mean, g.sd, lo, hi))
-    return out
+    columns = (post.mean, post.sd, *post.interval(level))
+    names = parameter_names(post.shape.size // 2)
+    return [ParameterEstimate(*row) for row in zip(names, *(c.tolist() for c in columns))]
 
 
 def check_duane(data: FailureDataset, cause: int) -> None:

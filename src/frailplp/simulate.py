@@ -52,11 +52,17 @@ class FrailtyMixture:
         sigma = np.asarray(self.sigma, dtype=float)
         if not (w.shape == mu.shape == sigma.shape):
             raise ValueError("mixture parameter arrays must share a shape")
+        for name, values in (("weight", w), ("mu", mu), ("sigma", sigma)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"mixture {name} must be finite, got {values[~np.isfinite(values)][0]}")
         if np.any(w <= 0) or np.any(sigma <= 0):
             raise ValueError("weights and sigmas must be positive")
         w = w / w.sum()
         # shift the log-means so the mixture mean is exactly 1
-        mean = float(np.sum(w * np.exp(mu + 0.5 * sigma**2)))
+        with np.errstate(over="ignore", under="ignore"):
+            mean = float(np.sum(w * np.exp(mu + 0.5 * sigma**2)))
+        if not 0.0 < mean < np.inf:
+            raise ValueError(f"mixture mean {mean} is not finite and positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mu", mu - np.log(mean))
         object.__setattr__(self, "sigma", sigma)

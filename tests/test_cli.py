@@ -112,6 +112,21 @@ class TestSimulate:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("mixture, message", [
+        ("1,1000,1", "mixture mean inf is not finite and positive"),
+        ("1,0,40", "mixture mean inf is not finite and positive"),
+        ("1,-1000,1", "mixture mean 0.0 is not finite and positive"),
+        ("1,nan,1", "mixture mu must be finite, got nan"),
+        ("0.5,0,1,inf,1,1", "mixture weight must be finite, got inf"),
+        ("1,0,nan", "mixture sigma must be finite, got nan"),
+    ], ids=["mean-inf-mu", "mean-inf-sigma", "mean-zero", "mu-nan", "weight-inf", "sigma-nan"])
+    def test_non_finite_mixture_is_config_error(self, tmp_path, capsys, mixture, message):
+        out = tmp_path / "d.csv"
+        code = run("simulate", "--out", str(out), "--frailty-mixture", mixture, "--seed", "2")
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_warranty_scale_rates(self, warranty_csv, tmp_path, capsys):
@@ -715,6 +730,28 @@ class TestConfigFile:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", ["mm=7", "func=1", "command=fit", "help=1", "truth_outt=t.csv"])
+    def test_unknown_key_is_config_error_naming_key_and_file(self, tmp_path, capsys, line):
+        # a key that names no flag of any command was dropped (or, for func,
+        # crashed the run); now it stops the run before any output
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=3\n{line}\n")
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+        key = line.partition("=")[0]
+        assert f"config error: {cfg}: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_keys_of_other_commands_allowed(self, tmp_path):
+        # one file may serve several commands: simulate skips mcmc's and
+        # benchmark's keys, and a hyphenated key names its flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations=300\nwith-mcmc=1\nM=5\ntruth-out=\nm=7\nseed=3\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("simulate", "--config", str(cfg), "--out", str(a)) == EXIT_OK
+        assert run("simulate", "--m", "7", "--seed", "3", "--out", str(b)) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a pair\n")
@@ -743,6 +780,7 @@ lazy_fft = int(np.__version__.split(".")[0]) >= 2
 print(codes)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print(lazy_fft and "numpy.fft" in after_import)
+print("numpy.ma" in sys.modules)
 """
 
 
@@ -777,12 +815,15 @@ class TestRuntimeDependencies:
             [sys.executable, "-c", RUNTIME_PROBE, str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        codes, scipy_modules, fft_at_import = proc.stdout.strip().splitlines()[-3:]
+        codes, scipy_modules, fft_at_import, masked = proc.stdout.strip().splitlines()[-4:]
         assert codes == "[0, 0, 0]"
         assert scipy_modules == "[]"
         # numpy 2 loads numpy.fft on first use; the diagnostics touch it only
         # when called, so importing the CLI does not pay for it.
         assert fft_at_import == "False"
+        # nor do the commands load numpy.ma, which np.unique imports and
+        # which adds about 1.4 MB to the benchmark's peak RSS
+        assert masked == "False"
 
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "frailplp"

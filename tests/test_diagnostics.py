@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frailplp.data import ObservationDesign
+from frailplp import dpm
+from frailplp.data import ObservationDesign, summarize
 from frailplp.plp import GammaMarginal, PlpParams, PriorConfig
-from frailplp.simulate import SimScenario
+from frailplp.simulate import FrailtyMixture, SimScenario, simulate
 from frailplp.diagnostics import (
+    HarnessRow,
     _interval_covers,
     _spectral_variance_at_zero,
     autocorrelation,
@@ -189,6 +191,92 @@ class TestIntervalCoverage:
             assert hit == (lo <= t <= hi)
 
 
+def reference_harness(scenario, prior, M, mcmc=None):
+    """The harness one parameter at a time, from scalar marginals.
+
+    Each replication's scenario is built field by field, its marginals are
+    the closed-form gammas written out per cause, and an interval covers the
+    truth when the scalar quantiles bracket it.  With `mcmc` as (iterations,
+    burn_in), each replication's chain scores an "eta" row.
+    """
+    K, zeta = scenario.design.K, prior.zeta
+    truths = {f"beta_{q + 1}": float(b) for q, b in enumerate(scenario.true_params.beta)}
+    truths.update({f"alpha_{q + 1}": float(a) for q, a in enumerate(scenario.true_params.alpha)})
+    marginals = {name: [] for name in truths}
+    eta = []
+    for rep in range(M):
+        seed = int(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(rep,)).generate_state(1)[0])
+        rep_scenario = SimScenario(
+            design=scenario.design,
+            true_params=scenario.true_params,
+            eta=scenario.eta,
+            frailty_family=scenario.frailty_family,
+            seed=seed,
+            normalize_frailties=True,
+        )
+        summary = summarize(simulate(rep_scenario)[0])
+        for q in range(K):
+            n, s = summary.n_q[q], summary.log_ratio_sums[q]
+            marginals[f"beta_{q + 1}"].append(GammaMarginal(shape=float(n + 1.0 - zeta), rate=float(n / (n / s))))
+            marginals[f"alpha_{q + 1}"].append(GammaMarginal(shape=float(n), rate=float(scenario.design.m)))
+        if mcmc:
+            trace = dpm.run_chain(summary, iterations=mcmc[0], burn_in=mcmc[1], seed=seed)
+            vz = dpm.frailty_variance(trace.post_burn_in(trace.var_z))
+            eta.append((vz.mean, vz.ci_low <= scenario.eta <= vz.ci_high))
+
+    def row(name, truth, estimates, covered):
+        err = np.asarray(estimates) - truth
+        mse = float(np.mean(err**2))
+        return HarnessRow(
+            name, truth, float(err.mean()), mse, math.sqrt(mse), float(np.mean(covered)),
+            float(np.std(estimates, ddof=1) / math.sqrt(M)) if M > 1 else 0.0,
+        )
+
+    rows = {}
+    for name, truth in truths.items():
+        gammas = marginals[name]
+        bounds = [g.interval(0.95) for g in gammas]
+        rows[name] = row(
+            name, truth, [g.mean for g in gammas], [lo <= truth <= hi for lo, hi in bounds]
+        )
+    if mcmc:
+        rows["eta"] = row("eta", scenario.eta, [e for e, _ in eta], [c for _, c in eta])
+    return rows
+
+
+class TestMatchesScalarReference:
+    """run_harness's rows equal the one-parameter-at-a-time reference exactly."""
+
+    @pytest.mark.parametrize("K, eta, zeta, mixture, M", [
+        (2, 0.5, 2.0, None, 120),
+        (1, 0.0, 1.5, None, 60),
+        (3, 0.0, 0.0, FrailtyMixture(weights=[0.5, 0.5], mu=[-0.8, 0.5], sigma=[0.25, 0.25]), 40),
+        (2, 0.5, 2.0, None, 1),
+    ])
+    def test_closed_form_rows(self, K, eta, zeta, mixture, M):
+        scen = SimScenario(
+            design=ObservationDesign(T=20.0, m=30, K=K),
+            true_params=PlpParams(beta=[1.2, 0.7, 1.5][:K], alpha=[5.0, 13.33, 2.0][:K]),
+            eta=eta,
+            frailty_family=mixture,
+            seed=41,
+        )
+        report = run_harness(scen, PriorConfig(zeta=zeta), M=M)
+        assert list(report) == [f"beta_{q}" for q in range(1, K + 1)] + [f"alpha_{q}" for q in range(1, K + 1)]
+        assert report == reference_harness(scen, PriorConfig(zeta=zeta), M)
+
+    def test_with_mcmc(self):
+        scen = SimScenario(
+            design=ObservationDesign(T=20.0, m=15, K=1),
+            true_params=PlpParams(beta=np.array([1.0]), alpha=np.array([8.0])),
+            eta=0.8,
+            seed=8,
+        )
+        report = run_harness(scen, M=3, with_mcmc=True, mcmc_iterations=300, mcmc_burn_in=100)
+        assert list(report) == ["beta_1", "alpha_1", "eta"]
+        assert report == reference_harness(scen, PriorConfig(), 3, mcmc=(300, 100))
+
+
 class TestHarness:
     @pytest.fixture(scope="class")
     def small_report(self):
@@ -201,17 +289,17 @@ class TestHarness:
         return run_harness(scen, PriorConfig(zeta=2.0), M=300)
 
     def test_row_lookup(self, small_report):
-        names = {r.name for r in small_report.rows}
+        names = {r.name for r in small_report.values()}
         assert names == {"beta_1", "beta_2", "alpha_1", "alpha_2"}
         with pytest.raises(KeyError):
-            small_report.row("nope")
+            small_report["nope"]
 
     def test_rmse_is_root_of_mse(self, small_report):
-        for r in small_report.rows:
+        for r in small_report.values():
             assert r.rmse == pytest.approx(np.sqrt(r.mse))
 
     def test_estimators_score_sanely(self, small_report):
-        for r in small_report.rows:
+        for r in small_report.values():
             assert abs(r.bias) < 5 * r.mc_se + 1e-12
             assert 0.85 < r.cp95 <= 1.0
 
@@ -224,7 +312,7 @@ class TestHarness:
         )
         a = run_harness(scen, M=20)
         b = run_harness(scen, M=20)
-        assert a.rows == b.rows
+        assert a == b
 
     def test_rejects_zero_replications(self):
         scen = SimScenario(
@@ -245,6 +333,6 @@ class TestHarness:
         report = run_harness(
             scen, M=2, with_mcmc=True, mcmc_iterations=400, mcmc_burn_in=200
         )
-        eta_row = report.row("eta")
+        eta_row = report["eta"]
         assert eta_row.truth == 0.8
         assert np.isfinite(eta_row.bias)

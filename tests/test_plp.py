@@ -18,6 +18,7 @@ from frailplp.plp import (
     ImproperPosteriorError,
     _gamma_pq,
     mle,
+    parameter_names,
     classic_mle,
     posterior,
     bayes_estimates,
@@ -289,7 +290,85 @@ class TestIncompleteGamma:
         assert _rel(x, gammaincinv(3.7, 1.4e-8)) <= 1e-13
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestArrayMarginal:
+    """An array of marginals gives each entry's scalar result bit for bit."""
+
+    SHAPES = np.concatenate([np.geomspace(0.05, 1e5, 41), [1.0, 2.0, 9.99, 10.0, 10.01]])
+    RATES = np.random.default_rng(3).uniform(0.01, 100.0, SHAPES.size)
+    # 0 and 1, both tails down to 1e-12, the median and the 95% endpoints
+    PROBS = np.concatenate([
+        [0.0, 1.0, 0.5, 0.025, 0.975],
+        np.geomspace(1e-12, 0.4, 12),
+        1.0 - np.geomspace(1e-12, 0.4, 12),
+    ])
+
+    def scalar_ppf(self, p):
+        return [GammaMarginal(shape=a, rate=b).ppf(p) for a, b in zip(self.SHAPES, self.RATES)]
+
+    def test_ppf_at_each_probability(self):
+        g = GammaMarginal(shape=self.SHAPES, rate=self.RATES)
+        for p in self.PROBS:
+            assert bits(g.ppf(p)) == bits(self.scalar_ppf(p)), p
+
+    def test_ppf_over_the_whole_grid_at_once(self):
+        g = GammaMarginal(shape=self.SHAPES, rate=self.RATES)
+        x = g.ppf(self.PROBS[:, None])
+        assert x.shape == (self.PROBS.size, self.SHAPES.size)
+        assert bits(x) == bits([self.scalar_ppf(p) for p in self.PROBS])
+
+    def test_ppf_per_entry_probabilities(self):
+        # each entry its own probability, so that tails, medians and
+        # endpoints share the Halley loop and the incomplete-gamma batches
+        p = np.resize(self.PROBS, self.SHAPES.size)
+        g = GammaMarginal(shape=self.SHAPES, rate=self.RATES)
+        ref = [GammaMarginal(shape=a, rate=b).ppf(q) for a, b, q in zip(self.SHAPES, self.RATES, p)]
+        assert bits(g.ppf(p)) == bits(ref)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.999])
+    def test_interval(self, level):
+        lo, hi = GammaMarginal(shape=self.SHAPES, rate=self.RATES).interval(level)
+        ref = [GammaMarginal(shape=a, rate=b).interval(level) for a, b in zip(self.SHAPES, self.RATES)]
+        assert bits(lo) == bits([r[0] for r in ref])
+        assert bits(hi) == bits([r[1] for r in ref])
+
+    def test_incomplete_gamma_independent_of_batch(self):
+        # P, Q and the prefactor of an entry do not depend on the entries
+        # computed with it: the power series' block length depends on a alone
+        a = np.repeat(self.SHAPES, 5)
+        x = a * np.tile([0.3, 0.9, 1.0, 1.1, 3.0], self.SHAPES.size)
+        batch = _gamma_pq(a, x)
+        single = [_gamma_pq(ai, xi) for ai, xi in zip(a, x)]
+        for k in range(3):
+            assert bits(batch[k]) == bits([s[k][0] for s in single])
+
+
 class TestPosterior:
+    def test_parameter_order(self):
+        assert parameter_names(1) == ["beta_1", "alpha_1"]
+        assert parameter_names(3) == ["beta_1", "beta_2", "beta_3", "alpha_1", "alpha_2", "alpha_3"]
+
+    def test_entries_follow_parameter_names(self, warranty_summary):
+        s = warranty_summary
+        post = posterior(s, PriorConfig(zeta=1.5))
+        beta_hat = s.n_q / s.log_ratio_sums
+        for q in range(3):
+            assert post.shape[q] == s.n_q[q] + 1.0 - 1.5
+            assert post.rate[q] == s.n_q[q] / beta_hat[q]
+            assert post.shape[3 + q] == s.n_q[q]
+            assert post.rate[3 + q] == s.design.m
+        rows = bayes_estimates(post)
+        assert [r.name for r in rows] == parameter_names(3)
+        lo, hi = post.interval(0.95)
+        for i, r in enumerate(rows):
+            assert type(r.mean) is float and type(r.ci_low) is float
+            assert (r.mean, r.sd, r.ci_low, r.ci_high) == (
+                post.shape[i] / post.rate[i], math.sqrt(post.shape[i]) / post.rate[i], lo[i], hi[i]
+            )
+
     def test_marginal_shapes_and_rates(self):
         data = make_dataset(
             T=20.0, m=4, K=1, events=[(1, 1, 2.0), (1, 1, 9.0), (2, 1, 14.0)]
@@ -297,26 +376,25 @@ class TestPosterior:
         s = summarize(data)
         post = posterior(s, PriorConfig(zeta=2.0))
         beta_hat = s.n_q[0] / s.log_ratio_sums[0]
-        bm = post.beta_marginals[0]
-        assert bm.shape == pytest.approx(s.n_q[0] + 1.0 - 2.0)
-        assert bm.rate == pytest.approx(s.n_q[0] / beta_hat)
-        am = post.alpha_marginals[0]
-        assert am.shape == pytest.approx(s.n_q[0])
-        assert am.rate == pytest.approx(4.0)
+        # one cause: entry 0 is beta_1, entry 1 alpha_1
+        assert post.shape[0] == pytest.approx(s.n_q[0] + 1.0 - 2.0)
+        assert post.rate[0] == pytest.approx(s.n_q[0] / beta_hat)
+        assert post.shape[1] == pytest.approx(s.n_q[0])
+        assert post.rate[1] == pytest.approx(4.0)
 
     def test_alpha_mean_is_count_over_fleet_size(self, warranty_summary):
         post = posterior(warranty_summary)
-        means = [g.mean for g in post.alpha_marginals]
+        means = post.mean[3:].tolist()
         assert means == pytest.approx([76 / 439, 87 / 439, 111 / 439])
 
     def test_warranty_scale_alpha_summaries(self, warranty_summary):
         post = posterior(warranty_summary)
-        g = post.alpha_marginals[0]
-        assert g.mean == pytest.approx(0.173121, abs=5e-7)
-        assert g.sd == pytest.approx(0.019858, abs=5e-7)
-        lo, hi = g.interval(0.95)
-        assert lo == pytest.approx(0.136399, abs=5e-7)
-        assert hi == pytest.approx(0.214153, abs=5e-7)
+        alpha_1 = 3  # after beta_1..beta_3
+        assert post.mean[alpha_1] == pytest.approx(0.173121, abs=5e-7)
+        assert post.sd[alpha_1] == pytest.approx(0.019858, abs=5e-7)
+        lo, hi = post.interval(0.95)
+        assert lo[alpha_1] == pytest.approx(0.136399, abs=5e-7)
+        assert hi[alpha_1] == pytest.approx(0.214153, abs=5e-7)
 
     def test_propriety_boundary(self):
         # one failure for a cause is not enough under zeta = 2
@@ -325,7 +403,7 @@ class TestPosterior:
             posterior(s, PriorConfig(zeta=2.0))
         # but is proper under a flatter prior
         post = posterior(s, PriorConfig(zeta=0.0))
-        assert post.beta_marginals[0].shape == pytest.approx(2.0)
+        assert post.shape[0] == pytest.approx(2.0)
         # a cause with no failures has no MLE, so no posterior, even under the
         # flatter priors that its count n_q = 0 > zeta - 1 passes
         no_cause_2 = summarize(make_dataset(
@@ -344,7 +422,7 @@ class TestPosterior:
         beta_hat = mle(s)[0]
         for zeta in (0.0, 1.0, 2.0):
             post = posterior(s, PriorConfig(zeta=zeta))
-            assert post.beta_marginals[0].mean == pytest.approx(
+            assert post.mean[0] == pytest.approx(
                 (4 + 1 - zeta) / 4 * beta_hat
             )
 

@@ -1,6 +1,7 @@
 """Synthetic data generation: distributions, determinism, substreams."""
 
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,28 @@ class TestFrailtyMixture:
         with pytest.raises(ValueError):
             FrailtyMixture(weights=np.array([-1.0]), mu=np.array([0.0]),
                            sigma=np.array([1.0]))
+
+    @pytest.mark.parametrize("name, triple", [
+        ("weight", (math.nan, 0.0, 1.0)),
+        ("weight", (math.inf, 0.0, 1.0)),
+        ("mu", (1.0, math.nan, 1.0)),
+        ("mu", (1.0, -math.inf, 1.0)),
+        ("sigma", (1.0, 0.0, math.nan)),
+        ("sigma", (1.0, 0.0, math.inf)),
+    ], ids=["weight-nan", "weight-inf", "mu-nan", "mu-neg-inf", "sigma-nan", "sigma-inf"])
+    def test_non_finite_parameter_rejected(self, name, triple):
+        weight, mu, sigma = triple
+        with pytest.raises(ValueError, match=f"mixture {name} must be finite"):
+            FrailtyMixture(weights=np.array([weight]), mu=np.array([mu]), sigma=np.array([sigma]))
+
+    @pytest.mark.parametrize("mu, sigma, mean", [
+        (1000.0, 1.0, "inf"), (0.0, 40.0, "inf"), (-1000.0, 1.0, "0.0"),
+    ], ids=["overflow-mu", "overflow-sigma", "underflow-mu"])
+    def test_mean_beyond_floats_rejected(self, mu, sigma, mean):
+        # exp(mu + sigma^2 / 2) overflows or underflows, so the rescaling to
+        # unit mean would make every frailty 0 or inf
+        with pytest.raises(ValueError, match=f"mixture mean {mean} is not finite"):
+            FrailtyMixture(weights=np.array([1.0]), mu=np.array([mu]), sigma=np.array([sigma]))
 
 
 class TestEventGeneration:
