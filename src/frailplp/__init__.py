@@ -21,7 +21,7 @@ from .plp import (
 )
 from .simulate import SCENARIOS, SimScenario, FrailtyMixture, draw_frailties, simulate
 from .dpm import DpmHyperparams, McmcTrace, run_chain, frailty_variance
-from .hmc import HmcConfig, transform, inverse_transform
+from .hmc import HmcConfig
 from .diagnostics import geweke, autocorrelation, ess, run_harness
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 
@@ -38,6 +39,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 class ConfigError(Exception):
     pass
@@ -91,7 +94,9 @@ def _parse_args(argv):
         if not hasattr(args, key):  # a flag of another command
             continue
         if isinstance(command.get_default(key), bool):
-            value = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _BOOLEANS:
+                raise ConfigError(f"{args.config}: key {key!r} needs 1/true/yes or 0/false/no, got {value!r}")
+            value = _BOOLEANS[value.lower()]
         defaults[key] = value
     command.set_defaults(**defaults)
     for action in required:
@@ -112,18 +117,19 @@ def _reading(path):
         raise DatasetError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_estimates(path, rows):
+    header = ["parameter", "mean", "sd", "ci_low", "ci_high"]
+    table = [astuple(r) for r in rows]
     if str(path).endswith(".json"):
-        payload = [
-            dict(parameter=r.name, mean=r.mean, sd=r.sd, ci_low=r.ci_low, ci_high=r.ci_high)
-            for r in rows
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, [dict(zip(header, row)) for row in table])
     else:
-        values = np.array([(r.mean, r.sd, r.ci_low, r.ci_high) for r in rows])
-        _write_table(path, ["parameter", "mean", "sd", "ci_low", "ci_high"], [r.name for r in rows], values)
+        _write_table(path, header, [row[0] for row in table], np.array([row[1:] for row in table]))
 
 
 def _write_table(path, header, *fields):
@@ -154,11 +160,8 @@ def _design(T, m, K):
 
 
 def cmd_simulate(args):
-    beta = _parse_floats(args.beta)
-    alpha = _parse_floats(args.alpha)
-    if len(beta) != len(alpha):
-        raise ConfigError("--beta and --alpha must list the same number of causes")
-    design = _design(args.T, args.m, len(beta))
+    params = PlpParams(beta=_parse_floats(args.beta), alpha=_parse_floats(args.alpha))
+    design = _design(args.T, args.m, params.K)
     family = None
     if args.frailty_mixture:
         parts = _parse_floats(args.frailty_mixture)
@@ -168,7 +171,7 @@ def cmd_simulate(args):
         family = FrailtyMixture(weights=triples[:, 0], mu=triples[:, 1], sigma=triples[:, 2])
     scenario = SimScenario(
         design=design,
-        true_params=PlpParams(beta=np.array(beta), alpha=np.array(alpha)),
+        true_params=params,
         eta=args.eta,
         frailty_family=family,
         seed=args.seed,
@@ -256,9 +259,9 @@ def cmd_mcmc(args):
         ("frailty_density.csv", ["index", "z", "density"], (grid, trace.density)),
     ):
         _write_matrix(os.path.join(args.out_dir, name), header, *fields)
-    vz = frailty_variance(trace.post_burn_in(trace.var_z))
-    mix_vz = frailty_variance(trace.post_burn_in(trace.mixture_var))
-    gw = geweke(trace.post_burn_in(trace.var_z))
+    vz = frailty_variance(trace.var_z[trace.burn_in :])
+    mix_vz = frailty_variance(trace.mixture_var[trace.burn_in :])
+    gw = geweke(trace.var_z[trace.burn_in :])
     results = dict(
         iterations=args.iterations,
         burn_in=args.burn_in,
@@ -274,9 +277,7 @@ def cmd_mcmc(args):
         step_size=trace.step_size,
         z_hat_mean=float(z_hat.mean()),
     )
-    with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out_dir, "summary.json"), results)
     print(
         f"Var(Z) posterior mean {vz.mean:.3f} sd {vz.sd:.3f} "
         f"CI [{vz.ci_low:.3f}, {vz.ci_high:.3f}]; geweke z={gw.z_score:.2f}"
@@ -314,10 +315,8 @@ def cmd_diagnose(args):
         ess=ess(values),
         acf=list(map(float, acf)),
     )
-    text = json.dumps(result, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_json(args.out, result)
     print(f"geweke z={gw.z_score:.3f} pass={gw.passed} ess={result['ess']:.1f}")
     return EXIT_OK
 
@@ -360,10 +359,6 @@ def cmd_benchmark(args):
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="frailplp",
@@ -371,9 +366,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file; flags override it")
 
-    p = sub.add_parser("simulate", help="generate a synthetic fleet")
-    _add_common(p)
+    p = sub.add_parser("simulate", parents=[common], help="generate a synthetic fleet")
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", default=None)
     p.add_argument("--m", type=int, default=50)
@@ -386,8 +382,7 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="closed-form Bayes estimates and Duane data")
-    _add_common(p)
+    p = sub.add_parser("fit", parents=[common], help="closed-form Bayes estimates and Duane data")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="estimates.csv")
     p.add_argument("--duane-out", default=None, help="prefix for per-cause Duane CSVs")
@@ -397,8 +392,7 @@ def build_parser():
     p.add_argument("--K", type=int, default=None)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("mcmc", help="frailty posterior via the hybrid Gibbs/HMC chain")
-    _add_common(p)
+    p = sub.add_parser("mcmc", parents=[common], help="frailty posterior via the hybrid Gibbs/HMC chain")
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", default="mcmc_out")
     p.add_argument("--iterations", type=int, default=10_000)
@@ -423,8 +417,7 @@ def build_parser():
     p.add_argument("--grid-points", type=int, default=grid_points)
     p.set_defaults(func=cmd_mcmc)
 
-    p = sub.add_parser("diagnose", help="Geweke / ACF / ESS on a trace CSV column")
-    _add_common(p)
+    p = sub.add_parser("diagnose", parents=[common], help="Geweke / ACF / ESS on a trace CSV column")
     p.add_argument("--trace", required=True)
     p.add_argument("--column", type=int, default=1)
     p.add_argument("--max-lag", type=int, default=50)
@@ -433,8 +426,7 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("benchmark", help="Monte Carlo bias/MSE/coverage harness")
-    _add_common(p)
+    p = sub.add_parser("benchmark", parents=[common], help="Monte Carlo bias/MSE/coverage harness")
     p.add_argument("--scenario", default=None, help=f"named scenario: {sorted(SCENARIOS)}")
     p.add_argument("--beta", default="1.2,0.7")
     p.add_argument("--alpha", default="5,13.33")

@@ -199,12 +199,14 @@ def _int64(text):
     return value
 
 
-def _read_rows(fh, dtype, lineno):
-    """Parse the rest of an open text file as comma-separated rows of `dtype`.
+_EVENT_ROW = np.dtype([("system_id", np.int64), ("cause", np.int64), ("time", np.float64)])
 
-    `dtype` is a structured dtype with one field per column; `lineno` is the
-    file's line number of the next line.  The rows are read in one
-    ``np.loadtxt`` pass.  Should that pass refuse the text (a whole-line
+
+def _read_rows(fh, lineno):
+    """Parse the rest of an open text file as comma-separated `_EVENT_ROW` rows.
+
+    `lineno` is the file's line number of the next line.  The rows are read
+    in one ``np.loadtxt`` pass.  Should that pass refuse the text (a whole-line
     ``#`` comment, a whitespace-only line, a field that only Python's
     ``int``/``float`` accept, a malformed row, no rows at all), the rows are
     read again one line at a time: blank and ``#`` lines are skipped, fields
@@ -215,10 +217,10 @@ def _read_rows(fh, dtype, lineno):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            return np.loadtxt(fh, dtype=_EVENT_ROW, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         fh.seek(start)
-    convert = [_int64 if dtype[name].kind == "i" else float for name in dtype.names]
+    convert = (_int64, _int64, float)
     rows = []
     for lineno, raw in enumerate(fh, start=lineno):
         if not raw.strip() or raw.startswith("#"):
@@ -230,10 +232,7 @@ def _read_rows(fh, dtype, lineno):
             rows.append(tuple(f(part.strip()) for f, part in zip(convert, parts)))
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    return np.array(rows, dtype=dtype)
-
-
-_EVENT_ROW = np.dtype([("system_id", np.int64), ("cause", np.int64), ("time", np.float64)])
+    return np.array(rows, dtype=_EVENT_ROW)
 
 
 def ingest(path, design: ObservationDesign | None = None) -> FailureDataset:
@@ -271,7 +270,7 @@ def ingest(path, design: ObservationDesign | None = None) -> FailureDataset:
                 )
             design = ObservationDesign(T=meta["T"], m=meta["m"], K=meta["K"])
 
-        rows = _read_rows(fh, _EVENT_ROW, lineno + 1)
+        rows = _read_rows(fh, lineno + 1)
     return FailureDataset._adopt(design, rows["system_id"], rows["cause"], rows["time"])
 
 

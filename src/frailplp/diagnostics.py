@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import summarize
-from .plp import PriorConfig, _gamma_pq, parameter_names, posterior as plp_posterior
+from .plp import GammaMarginal, ImproperPosteriorError, PriorConfig, parameter_names, posterior as plp_posterior
 from .simulate import SimScenario, simulate
 from . import dpm
 
@@ -147,19 +147,6 @@ def _summarize_param(name, truth, estimates, covered):
     )
 
 
-def _interval_covers(shape, rate, truth):
-    """Whether each equal-tail 95% Gamma(shape, rate) interval holds truth.
-
-    lo <= truth <= hi exactly when neither tail beyond truth holds less than
-    2.5%, so one incomplete-gamma call scores a whole array of marginals
-    without computing a quantile.
-    """
-    x = rate * truth
-    lower, upper, _ = _gamma_pq(shape, x)
-    half = (1.0 - 0.95) / 2.0
-    return ((lower >= half) & (upper >= half)).reshape(np.broadcast(shape, x).shape)
-
-
 def run_harness(
     scenario: SimScenario,
     prior: PriorConfig = PriorConfig(),
@@ -178,6 +165,7 @@ def run_harness(
     mean(Z) = 1 under which the closed-form intervals are calibrated.  With
     with_mcmc set, a short DPM chain per replication, at the default
     hyperpriors and HMC settings, scores the frailty variance as an "eta" row.
+    An improper posterior's error names its replication and simulate seed.
     """
     if M < 1:
         raise ValueError("need at least one replication")
@@ -195,7 +183,10 @@ def run_harness(
         )
         data, _ = simulate(rep_scenario)
         summary = summarize(data)
-        post = plp_posterior(summary, prior)
+        try:
+            post = plp_posterior(summary, prior)
+        except ImproperPosteriorError as exc:
+            raise ImproperPosteriorError(f"replication {rep} (simulate seed {rep_scenario.seed}): {exc}") from None
         shape[:, rep] = post.shape
         rate[:, rep] = post.rate
         if with_mcmc:
@@ -205,11 +196,11 @@ def run_harness(
                 burn_in=mcmc_burn_in,
                 seed=rep_scenario.seed,
             )
-            vz = dpm.frailty_variance(trace.post_burn_in(trace.var_z))
+            vz = dpm.frailty_variance(trace.var_z[trace.burn_in :])
             eta_estimates.append(vz.mean)
             eta_covered.append(vz.ci_low <= scenario.eta <= vz.ci_high)
 
-    covered = _interval_covers(shape, rate, truth[:, None])
+    covered = GammaMarginal(shape, rate).covers(truth[:, None])
     rows = zip(parameter_names(params.K), truth.tolist(), shape / rate, covered)
     report = {name: _summarize_param(name, t, est, cov) for name, t, est, cov in rows}
     if with_mcmc:

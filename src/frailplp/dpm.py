@@ -243,13 +243,6 @@ class McmcTrace:
     step_size: float
 
     @property
-    def iterations(self):
-        return self.z.shape[0]
-
-    def post_burn_in(self, series):
-        return series[self.burn_in :]
-
-    @property
     def z_hat(self):
         """Posterior-mean frailties from the post-burn-in draws."""
         return self.z[self.burn_in :].mean(axis=0)

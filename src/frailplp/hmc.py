@@ -47,8 +47,6 @@ __all__ = [
     "HmcConfig",
     "DualAveraging",
     "FrailtyTarget",
-    "transform",
-    "inverse_transform",
     "leapfrog",
     "hmc_update",
 ]
@@ -171,27 +169,6 @@ class FrailtyTarget:
         """Make q, the point of the last finish, the current point."""
         self.z_star, self.w, self._cur_e, self._cur_s = q, self._w, self._e, self._s
         self._new_work()
-
-
-def transform(v):
-    """Map a point v of the sum-zero plane (length m) to (Z, log |Jacobian|);
-    mean(Z) = 1 by construction, and log |J| = sum(log Z)."""
-    w = FrailtyTarget(v).w
-    return np.exp(w), float(w.sum())
-
-
-def inverse_transform(z):
-    """Recover the sum-zero point v = log z - mean(log z) of a valid
-    constrained frailty vector."""
-    z = np.asarray(z, dtype=float)
-    if z.size < 2:
-        raise ValueError("need at least two systems")
-    if not np.all(z > 0):
-        raise ValueError("frailties must be strictly positive")
-    if abs(z.mean() - 1.0) > 1e-8:
-        raise ValueError("frailty vector must have mean 1")
-    w = np.log(z)
-    return w - w.mean()
 
 
 def leapfrog(target, p, eps, n_steps):

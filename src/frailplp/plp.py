@@ -98,6 +98,8 @@ class PriorConfig:
             raise ValueError(f"zeta must be finite and nonnegative, got {self.zeta}")
 
 
+# the level of the credible intervals that `fit` reports and the harness scores
+CI_LEVEL = 0.95
 _EPS = float(np.finfo(float).eps)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # Stirling-series coefficients of stirlerr(a) in powers of 1/a^2, from 1/(12 a).
@@ -298,11 +300,20 @@ class GammaMarginal:
         x[todo] = xt
         return (x / rate).reshape(shape_out)[()]
 
-    def interval(self, level=0.95):
+    def interval(self, level=CI_LEVEL):
         """Equal-tail credible bounds (lo, hi), each shaped like the marginals."""
         half = (1.0 - level) / 2.0
         lo, hi = self.ppf(np.reshape([half, 1.0 - half], (2,) + (1,) * np.ndim(self.shape)))
         return lo, hi
+
+    def covers(self, truth):
+        """Whether each equal-tail `CI_LEVEL` interval holds truth (broadcast):
+        lo <= truth <= hi exactly when neither tail beyond truth holds less than
+        (1 - CI_LEVEL) / 2, so no quantile is computed."""
+        x = self.rate * truth
+        lower, upper, _ = _gamma_pq(self.shape, x)
+        half = (1.0 - CI_LEVEL) / 2.0
+        return ((lower >= half) & (upper >= half)).reshape(np.broadcast(self.shape, x).shape)
 
 
 def mle(summary: CountSummary) -> np.ndarray:
@@ -353,7 +364,7 @@ class ParameterEstimate:
     ci_high: float
 
 
-def bayes_estimates(post: GammaMarginal, level=0.95) -> list[ParameterEstimate]:
+def bayes_estimates(post: GammaMarginal, level=CI_LEVEL) -> list[ParameterEstimate]:
     """Posterior means, SDs and equal-tail credible intervals per parameter."""
     columns = (post.mean, post.sd, *post.interval(level))
     names = parameter_names(post.shape.size // 2)

@@ -19,8 +19,6 @@ from frailplp.simulate import SimScenario, FrailtyMixture, simulate
 from frailplp.hmc import (
     HmcConfig,
     DualAveraging,
-    transform,
-    inverse_transform,
     hmc_update,
     FrailtyTarget,
 )
@@ -32,6 +30,8 @@ from frailplp.dpm import (
     frailty_variance,
 )
 from frailplp.diagnostics import geweke, autocorrelation, run_harness
+
+from test_transform import inverse_transform, numeric_log_jacobian, transform
 
 
 TWO_CAUSE = PlpParams(beta=np.array([1.2, 0.7]), alpha=np.array([5.0, 13.33]))
@@ -116,7 +116,7 @@ class TestCriterion2FormatSupport:
         )
         data, z = simulate(scen)
         trace = run_chain(summarize(data), iterations=1200, burn_in=600, seed=3)
-        vz = frailty_variance(trace.post_burn_in(trace.var_z))
+        vz = frailty_variance(trace.var_z[trace.burn_in :])
         truth = float(np.sum((z - 1) ** 2) / (z.size - 1))
         ok = vz.ci_low < truth < vz.ci_high and vz.mean > 0.5
         report(
@@ -216,8 +216,6 @@ class TestCriterion5TransformCorrectness:
 
     @pytest.mark.parametrize("m", [2, 3, 10, 100])
     def test_log_jacobian_vs_finite_differences(self, m):
-        from test_transform import numeric_log_jacobian
-
         rng = np.random.default_rng(m)
         v = rng.uniform(-2.0, 2.0, size=m)
         v -= v.mean()
@@ -324,7 +322,7 @@ class TestCriterion7FrailtyVarianceRecovery:
         )
         data, z = simulate(scen)
         trace = run_chain(summarize(data), iterations=10_000, burn_in=5_000, seed=9)
-        chain = trace.post_burn_in(trace.var_z)
+        chain = trace.var_z[trace.burn_in :]
         vz = frailty_variance(chain)
         gw = geweke(chain)
         ok = 0.7 <= vz.mean <= 1.3 and gw.passed

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -82,12 +83,12 @@ class TestSimulate:
             assert run("simulate", "--out", str(out), "--eta", "0.5", "--seed", "11") == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_mismatched_cause_lists(self, tmp_path):
-        code = run(
-            "simulate", "--out", str(tmp_path / "d.csv"),
-            "--beta", "1.0", "--alpha", "5,6", "--seed", "1",
-        )
+    def test_mismatched_cause_lists(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = run("simulate", "--out", str(out), "--beta", "1.0", "--alpha", "5,6", "--seed", "1")
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: beta and alpha must have matching length\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_mixture_frailties(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -652,6 +653,31 @@ class TestBenchmark:
         assert code == EXIT_CONFIG
         assert f"config error: cannot write {out}" in capsys.readouterr().err
 
+    def test_mismatched_cause_lists(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = run("benchmark", "--beta", "1.0,2.0", "--alpha", "5", "--M", "2", "--seed", "1", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: beta and alpha must have matching length\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_improper_replication_is_named_and_reproducible(self, tmp_path, capsys):
+        # the failing replication's fleet, simulated on its own, fails `fit`
+        # with the same message
+        out = tmp_path / "b.csv"
+        design = ["--beta", "1", "--alpha", "1", "--m", "3", "--eta", "0"]
+        assert run("benchmark", *design, "--M", "50", "--seed", "1", "--out", str(out)) == EXIT_NUMERICAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"numerical failure: replication (\d+) \(simulate seed (\d+)\): (.+)\n", err)
+        assert match, err
+        rep, seed, cause = int(match[1]), match[2], match[3]
+        assert int(seed) == np.random.SeedSequence(entropy=1, spawn_key=(rep,)).generate_state(1)[0]
+        fleet = tmp_path / "rep.csv"
+        assert run("simulate", *design, "--normalize", "--seed", seed, "--out", str(fleet)) == EXIT_OK
+        capsys.readouterr()
+        assert run("fit", "--data", str(fleet), "--out", str(tmp_path / "e.csv")) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: {cause}\n"
+
     def test_explicit_parameters(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = run(
@@ -740,6 +766,42 @@ class TestConfigFile:
         assert run("simulate", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
         key = line.partition("=")[0]
         assert f"config error: {cfg}: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1", "TRUE", "Yes", "0", "false", "NO"])
+    def test_boolean_values_in_any_case(self, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"normalize={value}\n")
+        out = tmp_path / "d.csv"
+        assert run("simulate", "--config", str(cfg), "--out", str(out), "--eta", "1", "--m", "5",
+                   "--seed", "3") == EXIT_OK
+        normalized = value.lower() in ("1", "true", "yes")
+        assert (abs(read_truth(f"{out}.truth.csv").mean() - 1.0) < 1e-12) == normalized
+
+    def test_boolean_no_adapt_from_file(self, fleet_csv, tmp_path):
+        # adaptation off: summary.json reports the configured step size
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no-adapt=Yes\nstep-size=0.07\n")
+        out_dir = tmp_path / "chain"
+        assert run("mcmc", "--config", str(cfg), "--data", str(fleet_csv), "--out-dir", str(out_dir),
+                   "--iterations", "150", "--burn-in", "50") == EXIT_OK
+        assert json.loads((out_dir / "summary.json").read_text())["step_size"] == 0.07
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("simulate", "normalize=ture"), ("mcmc", "no_adapt=2"), ("benchmark", "with-mcmc=on")],
+    )
+    def test_bad_boolean_value_is_config_error_naming_key_and_file(
+        self, fleet_csv, tmp_path, capsys, command, line
+    ):
+        # a misspelt value was read as false, and the run went on without a word
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=3\ndata={fleet_csv}\n{line}\n")
+        out = tmp_path / "out"
+        flag = "--out-dir" if command == "mcmc" else "--out"
+        assert run(command, "--config", str(cfg), flag, str(out)) == EXIT_CONFIG
+        key = line.partition("=")[0].replace("-", "_")
+        assert f"config error: {cfg}: key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_keys_of_other_commands_allowed(self, tmp_path):

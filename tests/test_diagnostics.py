@@ -12,7 +12,6 @@ from frailplp.plp import GammaMarginal, PlpParams, PriorConfig
 from frailplp.simulate import FrailtyMixture, SimScenario, simulate
 from frailplp.diagnostics import (
     HarnessRow,
-    _interval_covers,
     _spectral_variance_at_zero,
     autocorrelation,
     ess,
@@ -183,7 +182,7 @@ class TestIntervalCoverage:
         shape, rate, u = (np.array(c) for c in zip(*marginals))
         gammas = [GammaMarginal(shape=a, rate=b) for a, b in zip(shape, rate)]
         truth = np.array([g.ppf(p) for g, p in zip(gammas, u)]) * truth_scale
-        covered = _interval_covers(shape, rate, truth)
+        covered = GammaMarginal(shape=shape, rate=rate).covers(truth)
         for g, t, hit in zip(gammas, truth, covered):
             lo, hi = g.interval(0.95)
             if math.isclose(t, lo, rel_tol=1e-12) or math.isclose(t, hi, rel_tol=1e-12):
@@ -221,7 +220,7 @@ def reference_harness(scenario, prior, M, mcmc=None):
             marginals[f"alpha_{q + 1}"].append(GammaMarginal(shape=float(n), rate=float(scenario.design.m)))
         if mcmc:
             trace = dpm.run_chain(summary, iterations=mcmc[0], burn_in=mcmc[1], seed=seed)
-            vz = dpm.frailty_variance(trace.post_burn_in(trace.var_z))
+            vz = dpm.frailty_variance(trace.var_z[trace.burn_in :])
             eta.append((vz.mean, vz.ci_low <= scenario.eta <= vz.ci_high))
 
     def row(name, truth, estimates, covered):

@@ -12,7 +12,7 @@ from scipy.stats import chi2, chisquare
 from frailplp.data import ObservationDesign, summarize
 from frailplp.plp import PlpParams
 from frailplp.simulate import SimScenario, simulate
-from frailplp.hmc import FrailtyTarget, HmcConfig, hmc_update, transform
+from frailplp.hmc import FrailtyTarget, HmcConfig, hmc_update
 from frailplp.dpm import (
     DpmHyperparams,
     DpmState,
@@ -32,6 +32,7 @@ from frailplp.dpm import (
 from frailplp import dpm
 
 from conftest import UniformDraws
+from test_transform import transform
 
 
 def make_state(m=6, levels=4, y=None, c=1.0, seed=0, z=None):
@@ -104,7 +105,7 @@ class TestDerivedFrailties:
 
         monkeypatch.setattr(dpm, "hmc_update", recorded)
         tr = run_chain(small_fleet(), iterations=60, burn_in=20, seed=1)
-        assert 0 < tr.accepted.sum() < tr.iterations
+        assert 0 < tr.accepted.sum() < len(tr.z)
         assert np.array_equal(tr.z, current)
 
 
@@ -514,7 +515,7 @@ class TestChain:
 
     def test_recovers_realized_frailty_variance(self, trace):
         tr, z = trace
-        vz = frailty_variance(tr.post_burn_in(tr.var_z))
+        vz = frailty_variance(tr.var_z[tr.burn_in :])
         truth = float(np.sum((z - 1.0) ** 2) / (z.size - 1))
         assert vz.ci_low < truth < vz.ci_high
 
@@ -525,7 +526,7 @@ class TestChain:
     def test_acceptance_near_target(self, trace):
         tr, _ = trace
         assert 0.6 < tr.acceptance_rate < 0.95
-        assert tr.divergences < 0.05 * tr.iterations
+        assert tr.divergences < 0.05 * len(tr.z)
 
     def test_trace_shapes(self, trace):
         tr, _ = trace
@@ -756,7 +757,7 @@ class TestVarianceSummaries:
         )
         data, _ = simulate(scen)
         tr = run_chain(summarize(data), iterations=800, burn_in=400, seed=1)
-        mv = frailty_variance(tr.post_burn_in(tr.mixture_var))
+        mv = frailty_variance(tr.mixture_var[tr.burn_in :])
         assert mv.ci_low > 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -12,13 +12,12 @@ from frailplp.hmc import (
     HmcConfig,
     DualAveraging,
     FrailtyTarget,
-    transform,
     leapfrog,
     hmc_update,
 )
 
 from conftest import UniformDraws
-from test_transform import reference_log_target_z
+from test_transform import reference_log_target_z, transform
 
 
 class Gauss:
