@@ -66,6 +66,12 @@ class FrailtyMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mu", mu - np.log(mean))
         object.__setattr__(self, "sigma", sigma)
+        # the variance, exp(sigma**2) - 1 for one component, must be a float
+        # too (sigma above about 26.6 overflows it)
+        with np.errstate(over="ignore"):
+            variance = self.variance
+        if not variance < np.inf:
+            raise ValueError(f"mixture variance {variance} is not finite")
 
     def sample(self, m, rng):
         comp = rng.choice(self.weights.size, size=m, p=self.weights)

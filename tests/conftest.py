@@ -62,8 +62,14 @@ def make_dataset(T=20.0, m=2, K=1, events=()):
 COLUMNS = ("system_id", "cause", "time")
 
 # floats at repr's format switches: exponent form from 1e16 up and below 1e-4,
-# the smallest subnormal, and the largest float below each switch
-REPR_EDGES = [1e16, 9999999999999998.0, 1e-5, 1e-4, 9.999999999999999e-05, 5e-324, 0.1, 3.0]
+# the smallest subnormal, and the largest float below each switch; then the
+# writer's own edges: 2**53 and 2**54 (integral floats are laid out from
+# their digits up to 2**54, repr writes the rest), the integral floats 1.0 and
+# 123.0, and 0.5, a short binary fraction (Ryu's exact case, which repr writes)
+REPR_EDGES = [
+    1e16, 9999999999999998.0, 1e-5, 1e-4, 9.999999999999999e-05, 5e-324, 0.1, 3.0,
+    2.0**53, 2.0**54, 1.0, 0.5, 123.0,
+]
 
 
 def same_events(a, b):

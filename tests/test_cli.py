@@ -120,7 +120,9 @@ class TestSimulate:
         ("1,nan,1", "mixture mu must be finite, got nan"),
         ("0.5,0,1,inf,1,1", "mixture weight must be finite, got inf"),
         ("1,0,nan", "mixture sigma must be finite, got nan"),
-    ], ids=["mean-inf-mu", "mean-inf-sigma", "mean-zero", "mu-nan", "weight-inf", "sigma-nan"])
+        ("1,0,30", "mixture variance inf is not finite"),
+    ], ids=["mean-inf-mu", "mean-inf-sigma", "mean-zero", "mu-nan", "weight-inf", "sigma-nan",
+            "variance-inf"])
     def test_non_finite_mixture_is_config_error(self, tmp_path, capsys, mixture, message):
         out = tmp_path / "d.csv"
         code = run("simulate", "--out", str(out), "--frailty-mixture", mixture, "--seed", "2")

@@ -351,6 +351,56 @@ class TestWriteRows:
         assert self.written(range(len(block)), block, column) == expected
 
 
+# int64 values at the ends of the range and of the writer's digit words
+# (six digits in the last word, eight in each word before it)
+INT_EDGES = [-(2**63), 2**63 - 1, 0, -1, 99_999, -99_999, 999_999, 10**6, -(10**13), 10**14, 10**18]
+# any float: st.floats() draws nan, infinities, zeros and subnormals, and a raw
+# bit pattern reaches every payload and exponent
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(lambda b: np.array(b, dtype=np.uint64).view(np.float64).item()),
+    st.sampled_from(REPR_EDGES),
+)
+ANY_INT = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT_EDGES))
+
+
+class TestWriteRowsMatchesRepr:
+    """Every cell is the repr of its Python value, whatever the value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 6)),
+        data=st.data(),
+    )
+    def test_text_is_repr(self, shape, data):
+        rows, width = shape
+        ints = data.draw(st.lists(ANY_INT, min_size=rows, max_size=rows))
+        floats = data.draw(st.lists(ANY_FLOAT, min_size=rows * width, max_size=rows * width))
+        column = np.array(ints, dtype=np.int64)
+        block = np.array(floats, dtype=np.float64).reshape(rows, width)
+        buf = io.StringIO()
+        _write_rows(buf, column, block, block[:, 0])
+        expected = "".join(
+            ",".join(map(repr, [i, *row, row[0]])) + "\n"
+            for i, row in zip(ints, block.tolist())
+        )
+        assert buf.getvalue() == expected
+
+    def test_tall_trace_writes_in_bounded_memory(self, tmp_path):
+        # a 2-D block is written a few rows at a time: the chunk's working set,
+        # not the table, bounds the memory (the block alone holds 4 MB)
+        block = np.random.default_rng(8).lognormal(size=(1000, 500))
+        _write_rows(io.StringIO(), block[:2])
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "z.csv", "w", encoding="utf-8") as fh:
+                _write_rows(fh, range(len(block)), block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 def reference_ingest(path, design=None):
     """The per-line reader that the bulk parse replaced, kept as the oracle."""
     comment_lines = []
