@@ -262,13 +262,16 @@ def reference_write_dataset(path, data):
 
 
 DATASET_CHUNK_ROWS = _CHUNK_VALUES // 3
+# row counts at the boundaries of a 1024-value chunk: off the current chunk's
+# boundaries, they end a table part way through a chunk
+DATASET_SMALL_CHUNK_ROWS = [340, 341, 342, 1025]
 
 
 class TestWriteDataset:
     @pytest.mark.parametrize(
         "n",
         [0, 1, DATASET_CHUNK_ROWS - 1, DATASET_CHUNK_ROWS, DATASET_CHUNK_ROWS + 1,
-         3 * DATASET_CHUNK_ROWS + 2],
+         3 * DATASET_CHUNK_ROWS + 2, *DATASET_SMALL_CHUNK_ROWS],
     )
     def test_bytes_match_per_row_writer(self, tmp_path, n):
         rng = np.random.default_rng(n)

@@ -318,13 +318,16 @@ def reference_write_frailties(path, z):
 
 
 SIDECAR_CHUNK_ROWS = _CHUNK_VALUES // 2
+# row counts at the boundaries of a 1024-value chunk: off the current chunk's
+# boundaries, they end a table part way through a chunk
+SIDECAR_SMALL_CHUNK_ROWS = [511, 512, 513, 1538]
 
 
 class TestSidecar:
     @pytest.mark.parametrize(
         "n",
         [0, 1, SIDECAR_CHUNK_ROWS - 1, SIDECAR_CHUNK_ROWS, SIDECAR_CHUNK_ROWS + 1,
-         3 * SIDECAR_CHUNK_ROWS + 2],
+         3 * SIDECAR_CHUNK_ROWS + 2, *SIDECAR_SMALL_CHUNK_ROWS],
     )
     def test_bytes_match_per_row_writer(self, tmp_path, n):
         z = np.concatenate([REPR_EDGES, np.random.default_rng(n).lognormal(sigma=12.0, size=n)])[:n]
