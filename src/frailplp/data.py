@@ -278,9 +278,13 @@ def ingest(path, design: ObservationDesign | None = None) -> FailureDataset:
 # which lays a chunk of rows out as a matrix of little-endian uint64 words:
 # each cell's text and separator sit at fixed byte positions of its words,
 # NUL bytes elsewhere, and dropping the NUL bytes leaves the chunk's text.
-# Floats are written as `repr` writes them.  Their digits come from Ryu (Adams,
-# PLDI 2018), which finds repr's shortest round-trip digits with integer
-# arithmetic; here it runs on uint64 arrays with 32-bit limbs.
+# Floats are written as `repr` writes them.  One layout covers the floats
+# that repr writes in fixed form (1e-4 <= |x| < 1e16) and that have fraction
+# bits, biased exponents 1009..1074: their digits come from Ryu (Adams, PLDI
+# 2018), which finds repr's shortest round-trip digits with integer
+# arithmetic; here it runs on uint64 arrays with 32-bit limbs.  `repr` itself
+# writes every other float: zeros, integral values, the exponent form, nan
+# and the infinities, and Ryu's exact case (few significant bits, as in 0.5).
 
 # Chunks are sized by memory: `_CHUNK_BYTES` is the working set of one chunk
 # and `_VALUE_BYTES` what one float value of it holds at the peak (the Ryu
@@ -302,11 +306,13 @@ _M32 = _U64(0xFFFF_FFFF)
 # to 125 bits.  The tables hold that scale times 2**(_SHIFT - j) (j is 118 to
 # 121), so every product is shifted right by the same _SHIFT.
 _SHIFT = 121
+# The biased exponents of the Ryu layout: 1009 holds 1e-4, where repr's fixed
+# form starts, and from 1075 on every float is integral.
+_EXPO_LO, _EXPO_HI = 1009, 1074
 # The layout tables are keyed by the decimal point's position `decpt`
-# (x = 0.d1d2... * 10**decpt) clipped to -4..17, where -3..16 is repr's fixed
-# form, and by the digit count `olength` (0..19).
-_DECPT_LO, _DECPT_HI = -4, 17
-_EXP_OFFSET = 330
+# (x = 0.d1d2... * 10**decpt), -3..16 in repr's fixed form, and by the digit
+# count `olength` (0..19).
+_DECPT_LO, _DECPT_HI = -3, 16
 
 
 def _words(value, k):
@@ -328,12 +334,14 @@ class _NumberTables:
         self.t4 = (self.t2[:, None] | (self.t2 << _U64(16))).ravel()
         self.digit_at32 = (np.arange(10, dtype=_U64) + _U64(48)) << _U64(32)
         self.pow10 = np.array([10**k for k in range(20)], dtype=_U64)
-        # per biased exponent 1..1074 (the normal floats with a fraction bit)
-        self.ql, self.qh, self.tz = (np.zeros(1077, dtype=_U64) for _ in range(3))
-        self.e10 = np.zeros(1077, dtype=np.int64)
+        # per biased exponent _EXPO_LO.._EXPO_HI, indexed by the exponent; the
+        # entries before and the one after are 0, and every larger exponent
+        # is clipped to that one
+        self.ql, self.qh, self.tz = (np.zeros(_EXPO_HI + 2, dtype=_U64) for _ in range(3))
+        self.e10 = np.zeros(_EXPO_HI + 2, dtype=np.int64)
         i, p = 0, 1
-        for minus_e2 in range(3, 1077):
-            e = 1077 - minus_e2
+        for e in range(_EXPO_HI, _EXPO_LO - 1, -1):
+            minus_e2 = 1077 - e
             q = ((minus_e2 * 732923) >> 20) - 1
             while i < minus_e2 - q:
                 i, p = i + 1, p * 5
@@ -343,7 +351,7 @@ class _NumberTables:
             self.e10[e] = q - minus_e2
             # a mantissa with q - 2 or more trailing zero bits is Ryu's exact
             # (trailing-zero) case, left to repr
-            self.tz[e] = ((1 << min(q, 64)) - 1) >> 2
+            self.tz[e] = ((1 << q) - 1) >> 2
         # keyed by decpt and olength: the integer part's divisor and digit
         # count, the fraction's scale to 17 digits, and its three words'
         # masks with the point and up to three zeros in front:
@@ -356,17 +364,13 @@ class _NumberTables:
         self.frac_mask = np.zeros((3, keys), dtype=_U64)
         key = 0
         for decpt in range(_DECPT_LO, _DECPT_HI + 1):
-            exp_form = not -3 <= decpt <= 16
             for olength in range(20):
-                ipos = 1 if exp_form else max(decpt, 0)
-                fd = max(olength - ipos, 0)
-                keep = fd if exp_form else max(fd, 1)
+                fd = max(olength - max(decpt, 0), 0)
                 self.int_div[key] = 10**fd
                 self.frac_scale[key] = 10 ** (17 - fd) if fd <= 17 else 0
-                self.int_digits[key] = 1 if exp_form else max(decpt, 1)
-                head = (b"." if keep else b"") + b"0" * (0 if exp_form else max(-decpt, 0))
-                self.frac_head[key] = int.from_bytes(head, "little")
-                self.frac_mask[:, key] = _words((1 << 8 * (4 + keep)) - 1, 3)
+                self.int_digits[key] = max(decpt, 1)
+                self.frac_head[key] = int.from_bytes(b"." + b"0" * max(-decpt, 0), "little")
+                self.frac_mask[:, key] = _words((1 << 8 * (4 + max(fd, 1))) - 1, 3)
                 key += 1
         # int words: k words hold 8k - 2 slots, the digits right-aligned with
         # the sign before them; keyed by the digit count
@@ -380,22 +384,6 @@ class _NumberTables:
             minus += [[0] * k] * (20 - len(fits) + 1)
             self.lead[k] = np.array(lead, dtype=_U64).T.copy()
             self.minus[k] = np.array(minus, dtype=_U64).T.copy()
-        self._float_masks = {}
-        # 'e-05' in bytes 5..7 of the last fraction word and the bytes 0..1 of
-        # the next, for decpt -330..21; zero where decpt is the fixed form's
-        self.exp_text = np.zeros((2, _EXP_OFFSET + 22), dtype=_U64)
-        for decpt in range(-_EXP_OFFSET, 22):
-            if not -3 <= decpt <= 16:
-                text = f"e{decpt - 1:+03d}".encode()
-                self.exp_text[0, decpt + _EXP_OFFSET] = int.from_bytes(text[:3], "little") << 40
-                self.exp_text[1, decpt + _EXP_OFFSET] = int.from_bytes(text[3:], "little")
-
-    def float_int_masks(self, k):
-        """`lead` and `minus` of k int words, keyed as the fraction tables."""
-        if k not in self._float_masks:
-            digits = self.int_digits
-            self._float_masks[k] = (self.lead[k][:, digits], self.minus[k][:, digits])
-        return self._float_masks[k]
 
 
 _TABLES = None
@@ -411,14 +399,6 @@ def _number_tables():
 def _take(table, index):
     """table[index] for uint64 `index` (numpy's fast path takes intp)."""
     return table.take(index.view(np.int64))
-
-
-def _digit_count(t, mag):
-    """The decimal digit count of each uint64 in `mag` (1 for 0), as int64."""
-    count = np.ones(mag.shape, dtype=np.int64)
-    for k in range(1, len(str(int(mag.max(initial=0))))):
-        count += mag >= t.pow10[k]
-    return count
 
 
 def _int_words(t, mag, index, neg, lead, minus):
@@ -482,17 +462,16 @@ def _shortest(t, m2, expo):
     """Ryu's shortest round-trip digits of floats, exact where `t.tz` allows.
 
     `m2` is the mantissa with its implicit bit (overwritten), `expo` the
-    biased exponent (int64, 1..1074).  Returns (digits, olength, decpt): the
-    digits as an integer, their count and the decimal point's position.  The
-    result is repr's wherever ``m2 & t.tz[expo]`` is not 0; elsewhere it is
-    not used.  The work arrays are freed as soon as they are spent, since
-    this step sets the writer's peak memory.
+    biased exponent (int64, 1009..1074, the fixed form's).  Returns (digits,
+    olength, decpt): the digits as an integer, their count and the decimal
+    point's position.  The result is repr's wherever ``m2 & t.tz[expo]`` is
+    not 0; elsewhere it is not used.  Ryu's half gap below a power of two
+    needs no branch: at these exponents every power of two is the exact case,
+    which the half gap first escapes at 2**-27.  The work arrays are freed
+    as soon as they are spent, since this step sets the writer's peak memory.
     """
     mv = m2
     mv <<= _U64(2)
-    # below a power of two the lower gap is half as wide
-    half = (mv == _U64(1 << 54)) & (expo > 1)
-    half = np.flatnonzero(half) if half.any() else None
     a_lo, a_hi = mv & _M32, mv >> _U64(32)
     # X = mv * Q = w0 + w1 2**64 + w2 2**128, and D = 2Q (Q below a power of
     # two): vr, vp and vm are X, X + D and X - D shifted right by _SHIFT
@@ -500,8 +479,6 @@ def _shortest(t, m2, expo):
     w0 = mv * q
     d = q << _U64(1)
     carry = (w0 + d) < d
-    if half is not None:
-        d[half] = q[half]
     borrow = w0 < d
     del d, w0
     top = (q >> _U64(63)).view(np.int64).astype(bool)
@@ -532,9 +509,6 @@ def _shortest(t, m2, expo):
     vp <<= up
     s1 >>= down
     vp |= s1
-    if half is not None:
-        d1[half] = t.qh.take(expo[half])
-        d2[half] = 0
     np.subtract(w1, d1, out=s1)
     c2 = w1 < d1
     c2 |= s1 < borrow
@@ -582,12 +556,11 @@ def _shortest(t, m2, expo):
 def _float_cells(t, x):
     """The words of float cells (1-D float64 `x`) and their separator's bit offset.
 
-    Each cell is its value's `repr`.  Normal values below 2**54 in magnitude
-    and zeros are laid out from their digits; `repr` writes the rest (nan,
-    inf, subnormals, larger values) and Ryu's trailing-zero case, fractions
-    with few significant bits such as 0.5.  A cell is its integer part's
-    words and three fraction words, plus, in a chunk with an exponent or a
-    `repr` cell, one more word that then holds the separator.
+    Each cell is its value's `repr`.  A value that repr writes in fixed form
+    and that has fraction bits is laid out from its Ryu digits (`_shortest`)
+    as its integer part's words and three fraction words; `repr` writes every
+    other value (zeros, integral values, the exponent form, nan, inf and Ryu's
+    trailing-zero case) into the first three words of its cell.
     """
     bits = x.view(_U64)
     expo = x.view(np.int64) >> 52
@@ -599,48 +572,21 @@ def _float_cells(t, x):
     ryu = t.tz.take(expo, mode="clip")
     ryu &= m2
     ryu = ryu != 0
-    if ryu.all():
-        digits, olength, decpt = _shortest(t, m2, expo)
-        repr_at = ()
-    else:
-        ax = np.abs(x)
-        with np.errstate(invalid="ignore"):
-            integral = (np.floor(ax) == ax) & (ax < 2.0**54)
-        repr_at = np.flatnonzero(~(ryu | integral))
-        value = np.where(integral, ax, 0.0).astype(_U64)
-        count = _digit_count(t, value)
-        point = count.copy()
-        # from 1e16 on repr writes an integral value in exponent form, which
-        # drops its trailing zeros
-        for i in np.flatnonzero(value >= _U64(10**16)):
-            v = int(value[i])
-            while v % 10 == 0:
-                v //= 10
-            value[i], count[i] = v, len(str(v))
-        if ryu.any():
-            expo[~ryu] = 1
-            digits, olength, decpt = _shortest(t, m2, expo)
-            digits = np.where(integral, value, digits)
-            olength = np.where(integral, count, olength)
-            decpt = np.where(integral, point, decpt)
-        else:
-            digits, olength, decpt = value, count, point
+    if not ryu.all():
+        expo[~ryu] = _EXPO_LO
+    digits, olength, decpt = _shortest(t, m2, expo)
+    del m2, expo, bits
+    # repr writes the exponent form below 1e-4
+    ryu &= decpt >= _DECPT_LO
+    repr_at = () if ryu.all() else np.flatnonzero(~ryu)
+    if len(repr_at):
         digits[repr_at] = 0
         olength[repr_at] = decpt[repr_at] = 1
-    del m2, expo, bits
-    key = np.maximum(decpt, _DECPT_LO)
-    np.minimum(key, _DECPT_HI, out=key)
-    if len(repr_at) or key.min() == _DECPT_LO or key.max() == _DECPT_HI:
-        # 'e-05' in bytes 5..7 of the last fraction word and 0..1 of one more
-        decpt += _EXP_OFFSET
-        exp_text = (t.exp_text[0].take(decpt), t.exp_text[1].take(decpt))
-    else:
-        exp_text = None
-    del decpt
+    key = decpt
     key -= _DECPT_LO
     key *= 20
     key += olength
-    del olength
+    del decpt, olength
     # the integer part, and the fraction's digits left-aligned to 17
     scale = t.int_div.take(key)
     ipart = digits // scale
@@ -650,7 +596,7 @@ def _float_cells(t, x):
     digits *= scale
     del scale
     k = (len(str(int(ipart.max(initial=0)))) + (neg is not None) + 9) // 8
-    words = _int_words(t, ipart, key, neg, *t.float_int_masks(k))
+    words = _int_words(t, ipart, t.int_digits.take(key), neg, t.lead[k], t.minus[k])
     del ipart
     # the fraction: [. z z z d0 d1 d2 d3] [d4 .. d11] [d12 .. d16, free]
     head = digits // _U64(10**13)
@@ -674,16 +620,12 @@ def _float_cells(t, x):
     word &= t.frac_mask[2].take(key)
     words.append(word)
     del head, mid, digits, key
-    if exp_text is None:
-        return words, 40
-    word |= exp_text[0]
-    words.append(exp_text[1])
     if len(repr_at):
         texts = [repr(v).encode() for v in x[repr_at].tolist()]
         texts = np.array(texts, dtype="S24").view(_U64).reshape(-1, 3)
         for i, word in enumerate(words):
             word[repr_at] = texts[:, i] if i < 3 else 0
-    return words, 16
+    return words, 40
 
 
 def _int_cells(t, v):
@@ -691,8 +633,12 @@ def _int_cells(t, v):
     neg = v < 0
     neg = neg if neg.any() else None
     mag = np.abs(v).view(_U64)
-    count = _digit_count(t, mag)
-    k = (int(count.max(initial=1)) + (neg is not None) + 9) // 8
+    # each value's digit count (1 for 0)
+    most = len(str(int(mag.max(initial=0))))
+    count = np.ones(mag.shape, dtype=np.int64)
+    for d in range(1, most):
+        count += mag >= t.pow10[d]
+    k = (most + (neg is not None) + 9) // 8
     return _int_words(t, mag, count, neg, t.lead[k], t.minus[k]), 48
 
 

@@ -40,7 +40,12 @@ SCENARIOS = {
 
 @dataclass(frozen=True)
 class FrailtyMixture:
-    """Finite log-normal mixture frailty, rescaled to unit mean."""
+    """Finite log-normal mixture frailty, rescaled to unit mean.
+
+    A mixture with a finite mean and variance is valid even when its unit-mean
+    shift puts nearly every frailty near 0 (sigma 26 alone: median exp(-338));
+    its fleet then has no failures.
+    """
 
     weights: np.ndarray
     mu: np.ndarray

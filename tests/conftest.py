@@ -63,12 +63,15 @@ COLUMNS = ("system_id", "cause", "time")
 
 # floats at repr's format switches: exponent form from 1e16 up and below 1e-4,
 # the smallest subnormal, and the largest float below each switch; then the
-# writer's own edges: 2**53 and 2**54 (integral floats are laid out from
-# their digits up to 2**54, repr writes the rest), the integral floats 1.0 and
-# 123.0, and 0.5, a short binary fraction (Ryu's exact case, which repr writes)
+# writer's own edges.  Only fixed-form floats with fraction bits (biased
+# exponents 1009..1074, 2.0**-14 up to 2.0**52) are laid out from Ryu's
+# digits, and `repr` writes every other float: the zeros, integral floats
+# (1.0, 3.0, -3.0, 123.0, 2.0**52 + 1 at the first exponent past that range,
+# 2.0**53, 2.0**54) and short binary fractions, Ryu's exact case (0.5, and
+# 2.0**-14 and 2.0**-13, the powers of two on either side of 1e-4)
 REPR_EDGES = [
     1e16, 9999999999999998.0, 1e-5, 1e-4, 9.999999999999999e-05, 5e-324, 0.1, 3.0,
-    2.0**53, 2.0**54, 1.0, 0.5, 123.0,
+    2.0**53, 2.0**54, 1.0, 0.5, 123.0, 0.0, -0.0, -3.0, 2.0**52 + 1, 2.0**-14, 2.0**-13,
 ]
 
 

@@ -130,6 +130,18 @@ class TestSimulate:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_degenerate_mixture_writes_a_failure_free_fleet(self, tmp_path, capsys):
+        # a finite mixture whose unit-mean shift puts nearly every frailty at
+        # about 0 is a valid law: its fleet has no failures, and fit then has
+        # nothing to fit
+        out = tmp_path / "d.csv"
+        code = run("simulate", "--out", str(out), "--frailty-mixture", "1,0,26", "--m", "50",
+                   "--seed", "1")
+        assert code == EXIT_OK
+        assert len(ingest(out)) == 0
+        assert run("fit", "--data", str(out), "--out", str(tmp_path / "e.csv")) == EXIT_DATA
+        assert "dataset contains no failures" in capsys.readouterr().err
+
 
 class TestFit:
     def test_warranty_scale_rates(self, warranty_csv, tmp_path, capsys):

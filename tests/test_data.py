@@ -275,7 +275,9 @@ class TestWriteDataset:
     )
     def test_bytes_match_per_row_writer(self, tmp_path, n):
         rng = np.random.default_rng(n)
-        time = np.concatenate([REPR_EDGES, rng.lognormal(sigma=12.0, size=n)])[:n]
+        # the edges that can be failure times, which are positive
+        edges = [v for v in REPR_EDGES if v > 0]
+        time = np.concatenate([edges, rng.lognormal(sigma=12.0, size=n)])[:n]
         design = ObservationDesign(T=1e300, m=997 * max(n, 1), K=3)
         data = FailureDataset(design, 997 * np.arange(1, n + 1), rng.integers(1, 4, n), time)
         write_dataset(tmp_path / "new.csv", data)
@@ -388,6 +390,16 @@ class TestWriteRowsMatchesRepr:
             for i, row in zip(ints, block.tolist())
         )
         assert buf.getvalue() == expected
+
+    def test_powers_of_two_and_their_neighbours(self):
+        # below a power of two the rounding interval's lower gap is half as
+        # wide; random bit patterns almost never land on one
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        near = np.stack([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)], axis=1)
+        block = np.concatenate([near, -near])
+        buf = io.StringIO()
+        _write_rows(buf, block)
+        assert buf.getvalue() == "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
     def test_tall_trace_writes_in_bounded_memory(self, tmp_path):
         # a 2-D block is written a few rows at a time: the chunk's working set,
