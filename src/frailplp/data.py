@@ -565,13 +565,17 @@ def _float_cells(t, x):
     bits = x.view(_U64)
     expo = x.view(np.int64) >> 52
     expo &= 0x7FF
-    neg = np.signbit(x)
-    neg = neg if neg.any() else None
     m2 = bits & _U64((1 << 52) - 1)
     m2 |= _U64(1 << 52)
     ryu = t.tz.take(expo, mode="clip")
     ryu &= m2
     ryu = ryu != 0
+    if not ryu.any():
+        # a chunk with no value in the layout's domain, such as a 0.0/1.0
+        # column, skips the Ryu step
+        return [*_repr_words(x).T, np.zeros(x.size, dtype=_U64)], 40
+    neg = np.signbit(x)
+    neg = neg if neg.any() else None
     if not ryu.all():
         expo[~ryu] = _EXPO_LO
     digits, olength, decpt = _shortest(t, m2, expo)
@@ -621,11 +625,16 @@ def _float_cells(t, x):
     words.append(word)
     del head, mid, digits, key
     if len(repr_at):
-        texts = [repr(v).encode() for v in x[repr_at].tolist()]
-        texts = np.array(texts, dtype="S24").view(_U64).reshape(-1, 3)
+        texts = _repr_words(x[repr_at])
         for i, word in enumerate(words):
             word[repr_at] = texts[:, i] if i < 3 else 0
     return words, 40
+
+
+def _repr_words(x):
+    """Each float's repr in three words, NUL-padded: (len(x), 3) uint64."""
+    texts = [repr(v).encode() for v in x.tolist()]
+    return np.array(texts, dtype="S24").view(_U64).reshape(-1, 3)
 
 
 def _int_cells(t, v):

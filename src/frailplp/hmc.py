@@ -30,10 +30,14 @@ component's kinetic energy cancels in the acceptance test.  The log density
 is needed only at the two ends, where the Hamiltonian is evaluated.
 FrailtyTarget holds the forward pass of its current point, so a transition
 starts without one, and an accepted end point's forward pass becomes the
-current one: one forward pass per leapfrog step, none repeated.  A kick is
-9 numpy calls with one exp into buffers allocated once per target, and one
-target serves a whole chain.  On a 2-core Xeon box a kick took a median
-10.5 us at m=50, 12.0 us at m=500 and 23.2 us at m=5000 (BENCH_sum_zero.json).
+current one: one forward pass per leapfrog step, none repeated.  A step is
+10 numpy calls, q += r included, with one exp into buffers allocated once
+per target, and one target serves a whole chain.  The n_steps - 1 interior
+steps run in one target call (FrailtyTarget.interior), so a step pays no
+Python method dispatch.  On a 2-core Xeon box a 20-step move (hmc_update)
+took 125 us at m=50 and 157 us at m=500, against 134 and 168 us with three
+method calls per interior step; at m=5000 both took 600-660 us, the spread
+between processes (BENCH_lean_chain.json).
 """
 
 from __future__ import annotations
@@ -88,9 +92,9 @@ class FrailtyTarget:
 
     z_star is the current point v, of length m with sum zero, and w its
     log-frailties; neither is written to once handed out.  set_atoms fixes
-    the counts and the allocated atoms for a sweep.  start, kick and finish
-    are the gradient kicks of one leapfrog trajectory (see leapfrog), and
-    accept moves the current point to the trajectory's end.
+    the counts and the allocated atoms for a sweep.  start, interior and
+    finish are the gradient kicks of one leapfrog trajectory (see leapfrog),
+    and accept moves the current point to the trajectory's end.
     """
 
     def __init__(self, v):
@@ -152,10 +156,30 @@ class FrailtyTarget:
         self._fold(self.w, self._cur_e, self._cur_s, r, self._ntm_h, self._tau_h)
         return self._log_density(self.w)
 
-    def kick(self, q, r):
-        """Add eps^2 times the gradient at q to r."""
-        self._forward(q)
-        self._fold(self._w, self._e, self._s, r, self._ntm_s, self._tau_s)
+    def interior(self, q, r, n):
+        """n interior leapfrog steps: q += r, then add eps^2 times the gradient
+        at q to r.  Each is _forward then _fold inlined, the same 10 numpy
+        calls in the same order, with buffers and ufuncs bound once."""
+        e, w, g = self._e, self._w, self._g
+        ntm, tau, m = self._ntm_s, self._tau_s, self._m
+        exp, add_reduce, subtract, multiply = np.exp, np.add.reduce, np.subtract, np.multiply
+        log, inf = math.log, math.inf
+        for _ in range(n):
+            q += r
+            exp(q, e)
+            s = float(add_reduce(e))
+            shift = 0.0
+            if not _TINY < s < inf:
+                shift = float(q.max())
+                subtract(q, shift, e)
+                exp(e, e)
+                s = float(add_reduce(e))
+            subtract(q, shift + log(s / m), w)
+            multiply(tau, w, g)
+            subtract(ntm, g, g)
+            r += g
+            multiply(e, float(add_reduce(g)) / s, g)
+            r -= g
 
     def finish(self, q, r):
         """Add eps^2/2 times the gradient at q to r and restore the component
@@ -177,18 +201,15 @@ def leapfrog(target, p, eps, n_steps):
 
     The momentum is carried as r = eps p: a step is q += r, r += eps^2 grad(q),
     with the eps^2 folded into the target's kicks.  The n_steps - 1 interior
-    points need only the gradient; the two ends, where the Hamiltonian is
-    evaluated, also give the log density.  A non-finite state is not stopped
+    steps, which need only the gradient, are one target.interior call; the
+    two ends, where the Hamiltonian is evaluated, also give the log density.  A non-finite state is not stopped
     here: it carries on to the end point as inf or nan.  Returns (q, p, log
     density at the start, log density at q).
     """
     r = eps * p
     logp0 = target.start(eps, r)
     q = target.z_star.copy()
-    kick = target.kick
-    for _ in range(n_steps - 1):
-        q += r
-        kick(q, r)
+    target.interior(q, r, n_steps - 1)
     q += r
     logp = target.finish(q, r)
     r /= eps

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frailplp.data as data_module
 from frailplp.data import (
     _CHUNK_VALUES,
     _parse_metadata,
@@ -400,6 +401,25 @@ class TestWriteRowsMatchesRepr:
         buf = io.StringIO()
         _write_rows(buf, block)
         assert buf.getvalue() == "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+
+    def test_chunk_without_ryu_values_skips_the_ryu_step(self, monkeypatch):
+        # zeros, integral values, the exponent form, nan and inf all go to
+        # repr, so a chunk of them alone never runs _shortest; a chunk with
+        # one fixed-form fraction still does
+        def no_ryu(*args):
+            raise AssertionError("_shortest ran")
+
+        monkeypatch.setattr(data_module, "_shortest", no_ryu)
+        acceptance = (np.random.default_rng(3).random(5000) < 0.7).astype(float)
+        others = np.array([[0.0, -0.0, 1.0, -3.0], [1e300, 2.5e-7, np.nan, -np.inf]])
+        for block in (acceptance[:, None], others):
+            buf = io.StringIO()
+            _write_rows(buf, range(len(block)), block)
+            assert buf.getvalue() == "".join(
+                ",".join(map(repr, [i, *row])) + "\n" for i, row in enumerate(block.tolist())
+            )
+        with pytest.raises(AssertionError, match="_shortest ran"):
+            _write_rows(io.StringIO(), np.array([1.0, 0.1]))
 
     def test_tall_trace_writes_in_bounded_memory(self, tmp_path):
         # a 2-D block is written a few rows at a time: the chunk's working set,

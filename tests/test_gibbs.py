@@ -50,6 +50,21 @@ def make_state(m=6, levels=4, y=None, c=1.0, seed=0, z=None):
     )
 
 
+def record_states(monkeypatch):
+    """The levels (rho, mu, tau) of each sweep of the chains run after this,
+    as they stand after the allocations, the sweep's last Gibbs step."""
+    states = []
+    allocate = dpm.update_allocations
+
+    def recorded(state, rng):
+        y = allocate(state, rng)
+        states.append((state.rho, state.mu, state.tau))
+        return y
+
+    monkeypatch.setattr(dpm, "update_allocations", recorded)
+    return states
+
+
 def small_fleet(m=8, seed=0):
     data, _ = simulate(
         SimScenario(
@@ -81,15 +96,20 @@ class TestDerivedFrailties:
         # the chain's target makes one at z* = 0, which gives the initial
         # state its log-frailties; then a transition starts from its current
         # point's pass, and an accepted end point's pass gives the state its
-        # log-frailties
+        # log-frailties.  The interior steps make theirs inline, one each.
         calls = []
-        forward = FrailtyTarget._forward
+        forward, interior = FrailtyTarget._forward, FrailtyTarget.interior
 
         def counted(self, q):
             calls.append(1)
             forward(self, q)
 
+        def counted_steps(self, q, r, n):
+            calls.extend([1] * n)
+            interior(self, q, r, n)
+
         monkeypatch.setattr(FrailtyTarget, "_forward", counted)
+        monkeypatch.setattr(FrailtyTarget, "interior", counted_steps)
         run_chain(small_fleet(), iterations=30, burn_in=10, seed=0)
         assert len(calls) == 1 + 30 * HmcConfig().leapfrog_steps
 
@@ -654,13 +674,7 @@ class TestDensity:
         assert np.allclose(log_frailty_density(grid, rho, mu, tau), expected, rtol=1e-14, atol=0.0)
 
     def test_chain_density_is_the_mean_over_post_burn_in_states(self, monkeypatch):
-        calls = []
-
-        def recorded(*args):
-            calls.append(log_frailty_density(*args))
-            return calls[-1]
-
-        monkeypatch.setattr(dpm, "log_frailty_density", recorded)
+        states = record_states(monkeypatch)
         data, _ = simulate(
             SimScenario(
                 design=ObservationDesign(T=20.0, m=10, K=1),
@@ -671,8 +685,72 @@ class TestDensity:
         )
         grid = np.linspace(0.1, 3.0, 50)
         tr = run_chain(summarize(data), iterations=60, burn_in=20, seed=1, grid=grid)
-        assert len(calls) == 60 - 20
-        assert np.allclose(tr.density, np.mean(calls, axis=0), rtol=1e-14, atol=0.0)
+        assert len(states) == 60
+        per_state = [log_frailty_density(grid, *state) for state in states[20:]]
+        assert np.allclose(tr.density, np.mean(per_state, axis=0), rtol=1e-14, atol=0.0)
+
+    def test_block_summaries_match_the_per_sweep_definitions(self, monkeypatch):
+        # block boundaries in burn-in and after it, a last block shorter than
+        # the others, states of 8 or more levels (a tiny slice instantiates
+        # them) and a sweep whose mixture variance is inf (an atom with
+        # tau = 1e-3 has a variance near exp(2000))
+        block = dpm._BLOCK_SWEEPS
+        iterations, burn_in = 3 * block + 7, block + block // 2
+        slices, atoms = dpm.update_slices, dpm.update_atoms
+
+        def tiny_slice(state, rng):
+            u = slices(state, rng)
+            u[0] = 1e-7
+            return u
+
+        def wide_atom(state, hyper, rng):
+            out = atoms(state, hyper, rng)
+            if sweeps[0] in (5, burn_in + 3):
+                state.tau[-1] = 1e-3
+            sweeps[0] += 1
+            return out
+
+        sweeps = [0]
+        monkeypatch.setattr(dpm, "update_slices", tiny_slice)
+        monkeypatch.setattr(dpm, "update_atoms", wide_atom)
+        states = record_states(monkeypatch)
+        grid = np.linspace(*DEFAULT_GRID)
+        tr = run_chain(small_fleet(m=12, seed=3), iterations=iterations, burn_in=burn_in, seed=4, grid=grid)
+        assert len(states) == iterations
+        assert max(state[0].size for state in states) >= 8
+        per_sweep = np.array([_mixture_var(*state)[0] for state in states])
+        assert np.flatnonzero(per_sweep == math.inf).tolist() == [5, burn_in + 3]
+        assert np.array_equal(tr.mixture_var == math.inf, per_sweep == math.inf)
+        finite = np.isfinite(per_sweep)
+        assert np.allclose(tr.mixture_var[finite], per_sweep[finite], rtol=1e-14, atol=0.0)
+        per_state = [log_frailty_density(grid, *state) for state in states[burn_in:]]
+        assert np.allclose(tr.density, np.mean(per_state, axis=0), rtol=1e-14, atol=0.0)
+
+    def test_states_at_once_match_each_state(self):
+        # concatenated states with their starts give each state's mixture
+        # variance and the sum of their densities, in kernel passes of a few
+        # levels when a state has many
+        rng = np.random.default_rng(7)
+        sizes = [1, 3, 40, 2, 9]
+        states = []
+        for size in sizes:
+            rho = rng.uniform(0.05, 1.0, size)
+            states.append((rho / rho.sum() * rng.uniform(0.5, 1.0), rng.normal(size=size), rng.uniform(0.5, 4.0, size)))
+        rho, mu, tau = (np.concatenate(parts) for parts in zip(*states))
+        starts = np.cumsum([0] + sizes[:-1])
+        grid = np.linspace(0.02, 6.0, 1000)
+        assert np.allclose(
+            _mixture_var(rho, mu, tau, starts),
+            [_mixture_var(*state)[0] for state in states],
+            rtol=1e-14,
+            atol=0.0,
+        )
+        assert np.allclose(
+            log_frailty_density(grid, rho, mu, tau, starts),
+            sum(log_frailty_density(grid, *state) for state in states),
+            rtol=1e-14,
+            atol=0.0,
+        )
 
     def test_chain_without_a_grid_evaluates_no_density(self, monkeypatch):
         data, _ = simulate(
@@ -768,9 +846,10 @@ class TestVarianceSummaries:
         huge = (np.array([1.0]), np.array([0.0]), np.array([1e-3]))
         # and one with tau = 4e-3 a finite variance near exp(500), whose square overflows
         big = (np.array([1.0]), np.array([0.0]), np.array([4e-3]))
-        assert _mixture_var(*huge) == math.inf
-        assert math.isfinite(_mixture_var(*big))
-        for outlier, mean in ((huge, math.inf), (big, pytest.approx(_mixture_var(*big) / 101))):
-            mv = frailty_variance([_mixture_var(*state)] * 100 + [_mixture_var(*outlier)])
+        (state_var,), (huge_var,), (big_var,) = (_mixture_var(*s) for s in (state, huge, big))
+        assert huge_var == math.inf
+        assert math.isfinite(big_var)
+        for outlier, mean in ((huge_var, math.inf), (big_var, pytest.approx(big_var / 101))):
+            mv = frailty_variance([state_var] * 100 + [outlier])
             assert mv.ci_low == mv.ci_high == pytest.approx(math.e * (math.e - 1.0), rel=1e-12)
             assert mv.mean == mean

@@ -20,9 +20,18 @@ from conftest import UniformDraws
 from test_transform import reference_log_target_z, transform
 
 
-class Gauss:
+class Steps:
+    """FrailtyTarget's interior leapfrog steps, each q += r and then a kick."""
+
+    def interior(self, q, r, n):
+        for _ in range(n):
+            q += r
+            self.kick(q, r)
+
+
+class Gauss(Steps):
     """A fixed smooth target for kernel-level checks: standard normal in the
-    point, with FrailtyTarget's start / kick / finish / accept steps."""
+    point, with FrailtyTarget's start / interior / finish / accept steps."""
 
     def __init__(self, z_star):
         self.z_star = np.array(z_star, dtype=float)
@@ -388,7 +397,7 @@ class TestUniformDraws:
 # offset, sp = log1p(exp(-|x|)) gives log B = min(x, 0) - sp and log(1 - B) =
 # log B - x; with g = (n + tau mu) - tau w and T_k = sum_{j>=k} g_j, the
 # gradient is g_k - B_k T_k for k = 1..m-1.
-class StickTarget:
+class StickTarget(Steps):
     def __init__(self, z_star):
         self.z_star = np.array(z_star, dtype=float)
         m = self.z_star.size + 1

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from frailplp.data import _CHUNK_VALUES, FailureDataset, ObservationDesign, summarize
@@ -292,6 +293,22 @@ class TestFleetHeldOnce:
         assert np.array_equal(np.lexsort((data.time, data.system_id)), np.arange(len(data)))
         for name in COLUMNS:
             assert not getattr(data, name).flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            # each system's times, distinct within it and in any order; the
+            # small pool makes times shared across systems common
+            st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0, 7.5, 19.0, 20.0]), unique=True),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_fleet_order_is_lexsort_order(self, systems):
+        system_id = np.repeat(np.arange(1, len(systems) + 1), [len(t) for t in systems])
+        time = np.array([t for times in systems for t in times], dtype=float)
+        order = simulate_module._fleet_order(system_id, time)
+        assert np.array_equal(order, np.lexsort((time, system_id)))
 
     def test_large_fleet_simulates_in_bounded_memory(self):
         scen = scenario(m=5000, eta=0.5, seed=11)

@@ -230,7 +230,7 @@ class TestGradientOnlyPath:
         target.set_atoms(n_j, mu, tau)
         target.start(1.0, np.zeros(m))  # with eps = 1 a kick adds the gradient itself
         fast = np.zeros(m)
-        target.kick(v, fast)
+        target.interior(v.copy(), fast, 1)  # the drift by r = 0 leaves the point at v
         half = np.zeros(m)
         end_logp = target.finish(v, half)
         assert np.isfinite(logp)
