@@ -368,14 +368,16 @@ def build_parser():
     parser.commands = sub.choices
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file; flags override it")
+    # simulate's and benchmark's default parameters are scenario A's
+    beta_a, alpha_a = (",".join(map(repr, v.tolist())) for v in (SCENARIOS["A"].beta, SCENARIOS["A"].alpha))
 
     p = sub.add_parser("simulate", parents=[common], help="generate a synthetic fleet")
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", default=None)
     p.add_argument("--m", type=int, default=50)
     p.add_argument("--T", type=float, default=20.0)
-    p.add_argument("--beta", default="1.2,0.7")
-    p.add_argument("--alpha", default="5,13.33")
+    p.add_argument("--beta", default=beta_a)
+    p.add_argument("--alpha", default=alpha_a)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--frailty-mixture", default=None, help="weight,mu,sigma triples")
     p.add_argument("--normalize", action="store_true", help="rescale frailties to sample mean 1")
@@ -428,8 +430,8 @@ def build_parser():
 
     p = sub.add_parser("benchmark", parents=[common], help="Monte Carlo bias/MSE/coverage harness")
     p.add_argument("--scenario", default=None, help=f"named scenario: {sorted(SCENARIOS)}")
-    p.add_argument("--beta", default="1.2,0.7")
-    p.add_argument("--alpha", default="5,13.33")
+    p.add_argument("--beta", default=beta_a)
+    p.add_argument("--alpha", default=alpha_a)
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--m", type=int, default=50)
     p.add_argument("--T", type=float, default=20.0)

@@ -165,7 +165,8 @@ def run_harness(
     mean(Z) = 1 under which the closed-form intervals are calibrated.  With
     with_mcmc set, a short DPM chain per replication, at the default
     hyperpriors and HMC settings, scores the frailty variance as an "eta" row.
-    An improper posterior's error names its replication and simulate seed.
+    An improper posterior's error, or a draw of frailties that cannot be
+    rescaled to mean 1, names its replication and simulate seed.
     """
     if M < 1:
         raise ValueError("need at least one replication")
@@ -181,12 +182,12 @@ def run_harness(
             seed=int(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(rep,)).generate_state(1)[0]),
             normalize_frailties=True,
         )
-        data, _ = simulate(rep_scenario)
-        summary = summarize(data)
         try:
+            data, _ = simulate(rep_scenario)
+            summary = summarize(data)
             post = plp_posterior(summary, prior)
-        except ImproperPosteriorError as exc:
-            raise ImproperPosteriorError(f"replication {rep} (simulate seed {rep_scenario.seed}): {exc}") from None
+        except (ImproperPosteriorError, FloatingPointError) as exc:
+            raise type(exc)(f"replication {rep} (simulate seed {rep_scenario.seed}): {exc}") from None
         shape[:, rep] = post.shape
         rate[:, rep] = post.rate
         if with_mcmc:

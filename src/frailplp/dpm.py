@@ -232,8 +232,9 @@ class McmcTrace:
     anything: exp(2 mu + 2 / tau) has no finite posterior mean when tau is
     gamma-distributed.  density is the frailty density on run_chain's grid,
     averaged over the post-burn-in states, or None when no grid was given.
-    Both are computed a block of sweeps at a time (see run_chain), so they
-    equal the per-state values up to the order of summation.
+    Both are computed a block of sweeps at a time, a block ending at the end
+    of burn-in and at the end of the chain (see run_chain), so they equal the
+    per-state values up to the order of summation.
     divergent flags the sweeps whose HMC move diverged, and step_size is the
     nominal step of the post-burn-in moves: the adapted one, or the
     configured one when adaptation is off.
@@ -289,10 +290,11 @@ def run_chain(
     mean; without one, no density is evaluated and the trace's is None.
 
     Nothing in the chain reads those two summaries, so they are computed per
-    block: each sweep's levels (rho, mu, tau) are copied end to end into a
-    block buffer, and every _BLOCK_SWEEPS sweeps, and at the end, one
-    _mixture_var call and one log_frailty_density call take the block's
-    levels.  Memory stays bounded in the number of iterations.
+    block of sweeps from a list of each sweep's levels (rho, mu, tau), held
+    uncopied: no stage writes into them.  A block ends after _BLOCK_SWEEPS
+    sweeps, at the last burn-in sweep and at the last sweep; one _mixture_var
+    call and, past burn-in, one log_frailty_density call take its levels
+    concatenated.  Memory stays bounded in the number of iterations.
 
     The HMC move runs on one FrailtyTarget for the whole chain, started at
     the sum-zero point v = 0 (all frailties one): its forward pass gives the
@@ -308,7 +310,6 @@ def run_chain(
         raise ValueError("frailty estimation needs at least two systems")
     if grid is not None:
         grid = _positive_grid(grid)
-        log_grid = np.log(grid)
         density = np.zeros_like(grid)
     n_j = summary.n_j.astype(float)
     hmc = hmc or HmcConfig()
@@ -326,11 +327,7 @@ def run_chain(
     accepted = np.zeros(iterations, dtype=bool)
     divergent = np.zeros(iterations, dtype=bool)
 
-    # the levels (rho, mu, tau) of the sweeps since the last summary, end to
-    # end, and each sweep's count; copied, as holding the sweeps' own arrays
-    # left about 0.25 MB more resident after 90 m=50 mcmc commands
-    rho_b, mu_b, tau_b = (np.empty(8 * _BLOCK_SWEEPS) for _ in range(3))
-    sizes, used = [], 0
+    levels = []  # the (rho, mu, tau) of each sweep since the last summary
     for it in range(iterations):
         update_concentration(state, m, hyper, rng)
         update_sticks(state, rng)
@@ -354,28 +351,14 @@ def run_chain(
         c_draws[it] = state.c
         accepted[it] = acc
         divergent[it] = div
-        size = state.l_star
-        if used + size > rho_b.size:
-            grow = np.empty(used + size)
-            rho_b, mu_b, tau_b = (np.concatenate((b[:used], grow)) for b in (rho_b, mu_b, tau_b))
-        rho_b[used : used + size] = state.rho
-        mu_b[used : used + size] = state.mu
-        tau_b[used : used + size] = state.tau
-        sizes.append(size)
-        used += size
-        if len(sizes) == _BLOCK_SWEEPS or it == iterations - 1:
-            lo = it + 1 - len(sizes)  # the block's first sweep
-            starts = np.cumsum([0] + sizes[:-1])
-            rho, mu, tau = rho_b[:used], mu_b[:used], tau_b[:used]
-            mixture_var[lo : it + 1] = _mixture_var(rho, mu, tau, starts)
+        levels.append((state.rho, state.mu, state.tau))
+        if len(levels) == _BLOCK_SWEEPS or it in (burn_in - 1, iterations - 1):
+            rho, mu, tau = map(np.concatenate, zip(*levels))
+            starts = np.cumsum([0] + [r.size for r, _, _ in levels[:-1]])
+            mixture_var[it + 1 - len(levels) : it + 1] = _mixture_var(rho, mu, tau, starts)
             if grid is not None and it >= burn_in:
-                # the block's post-burn-in sweeps begin at level `first`
-                post = max(burn_in - lo, 0)
-                first = starts[post]
-                density += log_frailty_density(
-                    grid, rho[first:], mu[first:], tau[first:], starts[post:] - first, log_grid
-                )
-            sizes, used = [], 0
+                density += log_frailty_density(grid, rho, mu, tau, starts)
+            levels = []
 
     return McmcTrace(
         z=z_draws,
@@ -397,7 +380,7 @@ def _positive_grid(grid):
     return grid
 
 
-def log_frailty_density(grid, rho, mu, tau, starts=(0,), log_grid=None):
+def log_frailty_density(grid, rho, mu, tau, starts=(0,)):
     """Mixture-of-log-normals density on a positive grid, summed over states.
 
     The states' levels come concatenated, state k's starting at starts[k];
@@ -407,12 +390,10 @@ def log_frailty_density(grid, rho, mu, tau, starts=(0,), log_grid=None):
     unnormalised normal kernels in log z is level-major, so that each numpy
     loop runs along the grid, and is formed _KERNEL_CELLS cells at a time
     (at least one level), so its size does not grow with the number of
-    levels.  A caller that evaluates many states on one grid passes
-    np.log(grid) as log_grid; the grid is then taken as already checked.
+    levels.  The grid is checked and its log taken on every call.
     """
-    if log_grid is None:
-        grid = _positive_grid(grid)
-        log_grid = np.log(grid)
+    grid = _positive_grid(grid)
+    log_grid = np.log(grid)
     rho, mu, tau = (np.asarray(a, dtype=float) for a in (rho, mu, tau))
     norm = np.add.reduceat(rho, starts)
     weight = rho * np.sqrt(tau / (2.0 * np.pi))

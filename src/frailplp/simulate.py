@@ -102,6 +102,8 @@ class SimScenario:
     def __post_init__(self):
         if not 0.0 <= self.eta < np.inf:  # also rejects nan
             raise ValueError(f"frailty variance eta must be finite and nonnegative, got {self.eta}")
+        if self.frailty_family is None and self.eta > 0.0 and 1.0 / float(self.eta) == np.inf:
+            raise ValueError(f"frailty variance eta {self.eta} is too small: the gamma shape 1/eta overflows")
         if self.true_params.K != self.design.K:
             raise ValueError("true_params must have one (beta, alpha) pair per cause")
 
@@ -115,7 +117,9 @@ def draw_frailties(scenario: SimScenario) -> np.ndarray:
 
     The gamma family uses shape 1/eta, rate 1/eta; eta = 0 yields Z
     identically 1.  With normalize_frailties set, the draw is rescaled to
-    sample mean exactly 1, matching the model constraint.
+    sample mean exactly 1, matching the model constraint; a draw that is all
+    0 (every gamma draw underflows when eta is large, and so can a degenerate
+    mixture's) cannot be, and raises FloatingPointError.
     """
     m = scenario.design.m
     rng = _stream(scenario.seed, 0)
@@ -128,6 +132,12 @@ def draw_frailties(scenario: SimScenario) -> np.ndarray:
         shape = 1.0 / scenario.eta
         z = rng.gamma(shape=shape, scale=scenario.eta, size=m)
     if scenario.normalize_frailties:
+        if not z.any():
+            law = "the frailty mixture" if fam is not None else f"eta {scenario.eta}"
+            raise FloatingPointError(
+                f"all {m} frailties drawn with {law} and seed {scenario.seed} "
+                "underflowed to 0, so they cannot be rescaled to mean 1"
+            )
         z = z / z.mean()
     return z
 

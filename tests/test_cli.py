@@ -142,6 +142,29 @@ class TestSimulate:
         assert run("fit", "--data", str(out), "--out", str(tmp_path / "e.csv")) == EXIT_DATA
         assert "dataset contains no failures" in capsys.readouterr().err
 
+    def test_eta_whose_gamma_shape_overflows_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        code = run("simulate", "--out", str(out), "--m", "3", "--eta", "1e-310", "--seed", "1")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: frailty variance eta 1e-310 is too small: the gamma shape 1/eta overflows\n"
+        )
+        assert not out.exists()
+
+    def test_frailties_that_all_underflow_cannot_be_normalized(self, tmp_path, capsys):
+        # every Gamma(1e-6) draw of seed 1 is exactly 0, so their mean is 0
+        out = tmp_path / "d.csv"
+        argv = ["simulate", "--out", str(out), "--m", "3", "--eta", "1e6", "--seed", "1"]
+        assert run(*argv, "--normalize") == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: all 3 frailties drawn with eta 1000000.0 and seed 1 underflowed to 0, "
+            "so they cannot be rescaled to mean 1\n"
+        )
+        assert not out.exists()
+        # not normalised, the same frailties make a valid fleet with no failures
+        assert run(*argv) == EXIT_OK
+        assert not read_truth(str(out) + ".truth.csv").any()
+
 
 class TestFit:
     def test_warranty_scale_rates(self, warranty_csv, tmp_path, capsys):
@@ -690,6 +713,31 @@ class TestBenchmark:
         assert run("simulate", *design, "--normalize", "--seed", seed, "--out", str(fleet)) == EXIT_OK
         capsys.readouterr()
         assert run("fit", "--data", str(fleet), "--out", str(tmp_path / "e.csv")) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: {cause}\n"
+
+    def test_eta_whose_gamma_shape_overflows_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = run("benchmark", "--eta", "1e-310", "--m", "3", "--M", "5", "--seed", "1", "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: frailty variance eta 1e-310 is too small: the gamma shape 1/eta overflows\n"
+        )
+        assert not out.exists()
+
+    def test_replication_whose_frailties_all_underflow_is_named(self, tmp_path, capsys):
+        # the harness normalises every replication's frailties; the named
+        # replication's fleet, simulated on its own, fails the same way
+        out = tmp_path / "b.csv"
+        design = ["--m", "3", "--eta", "1e6"]
+        assert run("benchmark", *design, "--M", "5", "--seed", "1", "--out", str(out)) == EXIT_NUMERICAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"numerical failure: replication 0 \(simulate seed (\d+)\): (.+)\n", err)
+        assert match, err
+        seed, cause = match[1], match[2]
+        assert cause.startswith(f"all 3 frailties drawn with eta 1000000.0 and seed {seed} underflowed to 0")
+        fleet = tmp_path / "rep.csv"
+        assert run("simulate", *design, "--normalize", "--seed", seed, "--out", str(fleet)) == EXIT_NUMERICAL
         assert capsys.readouterr().err == f"numerical failure: {cause}\n"
 
     def test_explicit_parameters(self, tmp_path):

@@ -34,6 +34,8 @@ from frailplp import dpm
 from conftest import UniformDraws
 from test_transform import transform
 
+_BLOCK = dpm._BLOCK_SWEEPS  # sweeps per summary block of run_chain
+
 
 def make_state(m=6, levels=4, y=None, c=1.0, seed=0, z=None):
     rng = np.random.default_rng(seed)
@@ -689,13 +691,22 @@ class TestDensity:
         per_state = [log_frailty_density(grid, *state) for state in states[20:]]
         assert np.allclose(tr.density, np.mean(per_state, axis=0), rtol=1e-14, atol=0.0)
 
-    def test_block_summaries_match_the_per_sweep_definitions(self, monkeypatch):
-        # block boundaries in burn-in and after it, a last block shorter than
-        # the others, states of 8 or more levels (a tiny slice instantiates
-        # them) and a sweep whose mixture variance is inf (an atom with
-        # tau = 1e-3 has a variance near exp(2000))
-        block = dpm._BLOCK_SWEEPS
-        iterations, burn_in = 3 * block + 7, block + block // 2
+    @pytest.mark.parametrize(
+        "iterations, burn_in, wide",
+        [
+            (3 * _BLOCK + 7, _BLOCK + _BLOCK // 2, (5, _BLOCK + _BLOCK // 2 + 3)),
+            (2 * _BLOCK + 10, _BLOCK, (_BLOCK - 1, _BLOCK)),
+            (_BLOCK + 9, 0, (5, _BLOCK + 2)),
+            (_BLOCK // 2, _BLOCK // 2 - 1, (5, _BLOCK // 2 - 1)),
+        ],
+        ids=["mid-block", "on-boundary", "no-burn-in", "one-block"],
+    )
+    def test_block_summaries_match_the_per_sweep_definitions(self, monkeypatch, iterations, burn_in, wide):
+        # blocks that end at a full block, at the end of burn-in and at the
+        # end of the chain, states of 8 or more levels (a tiny slice
+        # instantiates them) and the sweeps `wide`, in burn-in and after it
+        # where the chain has both, whose mixture variance is inf (an atom
+        # with tau = 1e-3 has a variance near exp(2000))
         slices, atoms = dpm.update_slices, dpm.update_atoms
 
         def tiny_slice(state, rng):
@@ -705,7 +716,7 @@ class TestDensity:
 
         def wide_atom(state, hyper, rng):
             out = atoms(state, hyper, rng)
-            if sweeps[0] in (5, burn_in + 3):
+            if sweeps[0] in wide:
                 state.tau[-1] = 1e-3
             sweeps[0] += 1
             return out
@@ -719,7 +730,7 @@ class TestDensity:
         assert len(states) == iterations
         assert max(state[0].size for state in states) >= 8
         per_sweep = np.array([_mixture_var(*state)[0] for state in states])
-        assert np.flatnonzero(per_sweep == math.inf).tolist() == [5, burn_in + 3]
+        assert np.flatnonzero(per_sweep == math.inf).tolist() == list(wide)
         assert np.array_equal(tr.mixture_var == math.inf, per_sweep == math.inf)
         finite = np.isfinite(per_sweep)
         assert np.allclose(tr.mixture_var[finite], per_sweep[finite], rtol=1e-14, atol=0.0)

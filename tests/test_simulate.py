@@ -64,6 +64,32 @@ class TestFrailties:
         with pytest.raises(ValueError, match="eta must be finite"):
             scenario(eta=eta)
 
+    def test_variance_whose_gamma_shape_overflows_rejected(self):
+        # 1/eta overflows below about 5.6e-309; a mixture family has no use for eta
+        with pytest.raises(ValueError, match="eta 1e-310 is too small: the gamma shape 1/eta overflows"):
+            scenario(eta=1e-310)
+        assert draw_frailties(scenario(m=1000, eta=1e-308, seed=1)) == pytest.approx(1.0)
+        mixture = FrailtyMixture(weights=[1.0], mu=[0.0], sigma=[0.5])
+        assert draw_frailties(scenario(eta=1e-310, frailty_family=mixture)).all()
+
+    @pytest.mark.parametrize("seed", [5, 15])
+    def test_frailties_that_all_underflow_cannot_be_normalized(self, seed):
+        # a Gamma(1e-3) draw is exactly 0 with probability 0.47, and these
+        # seeds draw three zeros, whose rescale to mean one would be 0/0
+        assert not draw_frailties(scenario(m=3, eta=1e3, seed=seed)).any()
+        message = f"all 3 frailties drawn with eta 1000.0 and seed {seed} underflowed to 0"
+        with pytest.raises(FloatingPointError, match=message):
+            draw_frailties(scenario(m=3, eta=1e3, seed=seed, normalize_frailties=True))
+
+    def test_mixture_frailties_that_all_underflow_cannot_be_normalized(self):
+        # the unit-mean shift leaves the heavy component at exp(-772), below
+        # the smallest float; the message names the mixture, not the unused eta
+        mixture = FrailtyMixture(weights=[1 - 1e-12, 1e-12], mu=[-800.0, 0.0], sigma=[0.1, 0.1])
+        assert not draw_frailties(scenario(m=3, frailty_family=mixture, seed=1)).any()
+        message = "all 3 frailties drawn with the frailty mixture and seed 1 underflowed to 0"
+        with pytest.raises(FloatingPointError, match=message):
+            draw_frailties(scenario(m=3, frailty_family=mixture, seed=1, normalize_frailties=True))
+
 
 class TestFrailtyMixture:
     def test_rescaled_to_unit_mean(self):
