@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import summarize
 from .plp import GammaMarginal, ImproperPosteriorError, PriorConfig, parameter_names, posterior as plp_posterior
-from .simulate import SimScenario, simulate
+from .simulate import SimScenario, _seed_words, simulate
 from . import dpm
 
 __all__ = [
@@ -165,8 +165,11 @@ def run_harness(
     mean(Z) = 1 under which the closed-form intervals are calibrated.  With
     with_mcmc set, a short DPM chain per replication, at the default
     hyperpriors and HMC settings, scores the frailty variance as an "eta" row.
-    An improper posterior's error, or a draw of frailties that cannot be
-    rescaled to mean 1, names its replication and simulate seed.
+    Replication rep simulates with the seed
+    SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(1)[0]; the
+    seeds of all M come from one numpy pass.  An improper posterior's error,
+    or a draw of frailties that cannot be rescaled to mean 1, names its
+    replication and simulate seed.
     """
     if M < 1:
         raise ValueError("need at least one replication")
@@ -176,12 +179,9 @@ def run_harness(
     rate = np.empty((truth.size, M))
     eta_estimates, eta_covered = [], []
 
-    for rep in range(M):
-        rep_scenario = replace(
-            scenario,
-            seed=int(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(rep,)).generate_state(1)[0]),
-            normalize_frailties=True,
-        )
+    seeds = _seed_words(scenario.seed, np.arange(M), 1)[:, 0].tolist()
+    for rep, seed in enumerate(seeds):
+        rep_scenario = replace(scenario, seed=seed, normalize_frailties=True)
         try:
             data, _ = simulate(rep_scenario)
             summary = summarize(data)

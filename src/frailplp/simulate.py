@@ -6,6 +6,11 @@ then place the failure times as T * U^(1/beta_q) for uniform order statistics
 U.  Per-system RNG substreams keyed by (seed, system_id) make generation
 deterministic and embarrassingly parallel.
 
+Substream (seed, k) is numpy's default_rng(SeedSequence(entropy=seed,
+spawn_key=(k,))), bit for bit, but no SeedSequence is built per key: the seed
+words of up to 256 keys come from one numpy pass, and one reused Generator's
+PCG64 state is set to each key's state in turn.
+
 Substream (seed, 0) draws the frailty vector.  Substream (seed, j), for
 system j = 1..m, is consumed cause by cause: one Poisson count n_jq, then
 n_jq standard uniforms, for q = 1..K in turn, and nothing else.  So a
@@ -108,8 +113,71 @@ class SimScenario:
             raise ValueError("true_params must have one (beta, alpha) pair per cause")
 
 
-def _stream(seed, key):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# keys whose seed words and states are held at once: a few kB at any fleet size
+_STREAM_CHUNK = 256
+
+
+def _seed_words(seed, keys, n):
+    """SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(n) for each k
+    of `keys` (below 2**32), as one (len(keys), n) uint32 array.
+
+    Every key's pool starts as SeedSequence(seed).pool, which also rejects a
+    negative seed.  The key word is then mixed into each of the 4 pool words
+    with the next hash constant; by then the constant has stepped 4 times to
+    fill the pool, 12 times to mix it and 4 times per run-entropy word past
+    the fourth.  The pool is hashed out as generate_state does.
+    """
+    pool = np.random.SeedSequence(seed).pool
+    steps = 16 + 4 * max(0, (int(seed).bit_length() + 31) // 32 - 4)
+    a = _powers(_INIT_A * pow(_MULT_A, steps, 1 << 32) % (1 << 32), _MULT_A, 4)
+    b = _powers(_INIT_B, _MULT_B, n)
+    mixed = np.asarray(keys, dtype=np.uint32)[:, None] ^ a[:4]
+    mixed *= a[1:]
+    mixed ^= mixed >> 16
+    mixed *= np.uint32(_MIX_MULT_R)
+    pool = np.subtract(pool * np.uint32(_MIX_MULT_L), mixed, out=mixed)
+    pool ^= pool >> 16
+    words = pool.take(np.arange(n) % 4, axis=1)
+    words ^= b[:n]
+    words *= b[1:]
+    words ^= words >> 16
+    return words
+
+
+def _powers(first, mult, n):
+    """first * mult**i mod 2**32 for i = 0..n, as uint32."""
+    return np.multiply.accumulate(np.array([first] + [mult] * n, dtype=np.uint32), dtype=np.uint32)
+
+
+def _streams(seed, start, stop):
+    """Substreams (seed, start) .. (seed, stop - 1), handed out in turn as one
+    reused Generator, so each is valid only until the next is handed out.
+
+    PCG64 seeds from the 4 little-endian uint64 words w of generate_state(8)
+    as pcg64_srandom_r does: with s = w0 * 2**64 + w1 and t = w2 * 2**64 + w3,
+    inc = 2t + 1 and state = (s + inc) * MULT + inc, both mod 2**128.
+    """
+    bit_generator = np.random.PCG64(0)  # its state is replaced before each use
+    rng = np.random.Generator(bit_generator)
+    mask = (1 << 128) - 1
+    for first in range(start, stop, _STREAM_CHUNK):
+        keys = np.arange(first, min(first + _STREAM_CHUNK, stop), dtype=np.uint32)
+        words = _seed_words(seed, keys, 8).astype("<u4", copy=False).view("<u8")
+        for s_hi, s_lo, i_hi, i_lo in words.tolist():
+            inc = (i_hi << 65 | i_lo << 1 | 1) & mask
+            state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & mask
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def draw_frailties(scenario: SimScenario) -> np.ndarray:
@@ -122,7 +190,7 @@ def draw_frailties(scenario: SimScenario) -> np.ndarray:
     mixture's) cannot be, and raises FloatingPointError.
     """
     m = scenario.design.m
-    rng = _stream(scenario.seed, 0)
+    rng = next(_streams(scenario.seed, 0, 1))
     fam = scenario.frailty_family
     if fam is not None:
         z = fam.sample(m, rng)
@@ -159,8 +227,7 @@ def simulate(scenario: SimScenario):
     buf = np.empty(_first_capacity(rates.sum()))
     end = 0
     counts = []
-    for j, rates_j in enumerate(rates.tolist(), start=1):
-        rng = _stream(scenario.seed, j)
+    for rates_j, rng in zip(rates.tolist(), _streams(scenario.seed, 1, d.m + 1)):
         for rate in rates_j:
             n = rng.poisson(rate)
             counts.append(n)

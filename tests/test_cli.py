@@ -348,6 +348,17 @@ def test_bad_design_flags_are_config_error(tmp_path, capsys, fleet_csv, argv, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--m", "3"], ["benchmark", "--m", "3", "--M", "2"]], ids=["simulate", "benchmark"]
+)
+def test_negative_seed_is_config_error(tmp_path, capsys, argv):
+    # numpy's SeedSequence rejects the seed before any substream is built
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--seed", "-1", "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: expected non-negative integer\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestMcmc:
     @pytest.fixture(scope="class")
     def mcmc_out(self, tmp_path_factory):

@@ -253,6 +253,43 @@ BIMODAL = FrailtyMixture(
 )
 
 
+# run entropy of 1 to 9 32-bit words, with the edges of the word counts
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**128, 2**256]),
+    st.integers(1, 9).flatmap(lambda words: st.integers(2 ** (32 * words - 32), 2 ** (32 * words) - 1)),
+)
+
+
+def numpy_stream(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
+
+class TestSubstreamsMatchSeedSequence:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+           n=st.sampled_from([1, 8]))
+    def test_seed_words_are_generate_state(self, seed, keys, n):
+        words = simulate_module._seed_words(seed, keys, n)
+        expected = [np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(n) for k in keys]
+        assert words.dtype == np.uint32
+        assert np.array_equal(words, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, start=st.integers(0, 2**32 - 3))
+    def test_each_stream_starts_from_the_pcg64_state(self, seed, start):
+        keys = range(start, start + 3)
+        for key, rng in zip(keys, simulate_module._streams(seed, keys.start, keys.stop), strict=True):
+            assert rng.bit_generator.state == numpy_stream(seed, key).bit_generator.state
+            assert np.array_equal(rng.random(3), numpy_stream(seed, key).random(3))
+
+    @pytest.mark.parametrize("family, eta", [(None, 0.5), (BIMODAL, 0.0)], ids=["gamma", "mixture"])
+    def test_frailties_come_from_substream_zero(self, family, eta):
+        rng = numpy_stream(2**32 + 1, 0)
+        expected = family.sample(40, rng) if family else rng.gamma(shape=1 / eta, scale=eta, size=40)
+        z = draw_frailties(scenario(m=40, eta=eta, frailty_family=family, seed=2**32 + 1))
+        assert np.array_equal(z, expected)
+
+
 class TestMatchesPerSystemLoop:
     # exponents 1/beta of 2, 1 and 0.5 take numpy's scalar-power fast paths
     @pytest.mark.parametrize("m", [1, 2, 50, 500])
@@ -263,6 +300,12 @@ class TestMatchesPerSystemLoop:
         alpha = (5.0, 13.33, 2.5)[: len(beta)]
         for seed in (1, 2, 3):
             assert_same_fleet(scenario(m=m, K=len(beta), beta=beta, alpha=alpha, eta=0.5, seed=seed))
+
+    # 600 systems cross two stream chunks; the seeds have 2 and 5 words
+    @pytest.mark.parametrize("seed", [2**32 + 1, 2**128 + 3])
+    def test_same_fleet_across_stream_chunks(self, seed):
+        assert 2 * simulate_module._STREAM_CHUNK < 600
+        assert_same_fleet(scenario(m=600, eta=0.5, seed=seed))
 
     # eta = 0 gives the degenerate law Z = 1 through the gamma family; the
     # mixture ignores eta
